@@ -332,20 +332,26 @@ def _molecule_from_packed(codes: np.ndarray, orders: np.ndarray,
     Atoms are added in slot order and bonds in row-major ``(i, j)`` order
     with the same ``add``-per-endpoint adjacency updates, so internal dict
     and set layouts match a scalar ``decode_molecule`` result exactly
-    (ring-perception tie-breaking observes those layouts).
+    (ring-perception tie-breaking observes those layouts).  The per-atom
+    valence sums are kept the way ``Molecule.add_bond`` keeps them.
     """
     mol = Molecule()
     symbols = mol.symbols
     adjacency = mol._adjacency
+    valence = mol._valence
     for slot in range(count):
         symbols.append(_SYMBOL_BY_Z[codes[slot]])
         adjacency[slot] = set()
+        valence.append(0.0)
     bonds = mol._bonds
     ii, jj = np.nonzero(np.triu(orders[:count, :count], 1))
     for i, j in zip(ii.tolist(), jj.tolist()):
-        bonds[(i, j)] = float(orders[i, j])
+        order = float(orders[i, j])
+        bonds[(i, j)] = order
         adjacency[i].add(j)
         adjacency[j].add(i)
+        valence[i] += order
+        valence[j] += order
     return mol
 
 

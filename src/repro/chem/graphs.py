@@ -1,33 +1,34 @@
-"""Fast exact graph primitives for the batched scoring path.
+"""Graph algorithms on :class:`~repro.chem.molecule.Molecule`.
 
-The scalar chem metrics lean on :mod:`networkx` (``connected_components``,
-``bridges``) and recompute ring perception several times per molecule.  The
-batched pipeline in :mod:`repro.chem.batch` instead computes each graph
-quantity **once** per molecule with the dependency-free routines here and
-shares the results across every scorer.
+This is the package's graph library.  It reads only a molecule's bond dict
+and adjacency sets and needs nothing outside the standard library.
+``Molecule``'s graph queries delegate here, and the batched scorers in
+:mod:`repro.chem.batch` call the same functions once per molecule through
+a cached context instead of once per descriptor.
 
-Exactness contract: these functions return the *same values* as the
-networkx-backed :class:`~repro.chem.molecule.Molecule` methods —
+* :func:`connected_components` — union-find, components ordered by their
+  lowest atom index;
+* :func:`bridges` — iterative Tarjan DFS;
+* :func:`ring_bonds` — the bonds that are not bridges;
+* :func:`rings` — SSSR-like ring perception: the smallest cycle through
+  every ring bond, then a greedy GF(2)-independent basis up to the
+  cyclomatic number.
 
-* :func:`connected_components` returns the same family of atom sets
-  (component order is irrelevant to every consumer);
-* :func:`bridges` returns the same edge set as ``nx.bridges`` (used for
-  membership tests only);
-* :func:`ring_bonds` rebuilds the set with the same element insertion
-  order as ``Molecule.ring_bonds`` (a comprehension over the bond dict),
-  so downstream *set iteration order* — which ring perception's
-  tie-breaking observes — is identical;
-* :func:`rings` re-runs ``Molecule.rings``'s exact algorithm against the
-  cached ``ring_bonds``/component count instead of recomputing them.
-
-Keeping iteration orders aligned is what makes the batched scorers
-bit-for-bit equal to the scalar reference even for descriptors that depend
-on which cycle basis the greedy ring perception picks.
+Ordering contract: ring perception breaks ties by the iteration order of
+the ring-bond set and of the adjacency sets.  :func:`ring_bonds` builds its
+set as a comprehension over the bond dict, so that order depends only on
+the molecule's bond insertion order, never on how the bridges were found.
+Every caller, scalar or batched, therefore perceives the same rings, which
+is what keeps the batched scorers bit-for-bit equal to the scalar ones.
 """
 
 from __future__ import annotations
 
-from .molecule import Molecule
+from collections import deque
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # molecule.py imports this module
+    from .molecule import Molecule
 
 __all__ = [
     "connected_components",
@@ -38,7 +39,7 @@ __all__ = [
 
 
 def connected_components(mol: Molecule) -> list[set[int]]:
-    """Connected atom sets via union-find (same sets as the networkx path)."""
+    """Connected atom sets via union-find, ordered by lowest atom index."""
     n = mol.num_atoms
     parent = list(range(n))
 
@@ -64,8 +65,8 @@ def connected_components(mol: Molecule) -> list[set[int]]:
 def bridges(mol: Molecule) -> set[tuple[int, int]]:
     """All bridge edges as ``(min, max)`` tuples (iterative Tarjan DFS).
 
-    An edge is a bridge iff no back-edge spans it; equality with
-    ``nx.bridges`` follows because the bridge set of a graph is unique.
+    An edge is a bridge iff no back-edge spans it.  The bridge set of a
+    graph is unique, so the DFS order does not affect the result.
     Parallel edges cannot occur (``Molecule`` stores one order per pair).
     """
     n = mol.num_atoms
@@ -108,10 +109,10 @@ def ring_bonds(mol: Molecule, bridge_set: set[tuple[int, int]] | None = None
                ) -> set[tuple[int, int]]:
     """Bonds on at least one cycle: the molecule's bonds minus its bridges.
 
-    Built exactly like ``Molecule.ring_bonds`` — a set comprehension over
-    the bond dict — so the resulting set's internal layout (and therefore
-    iteration order) matches the scalar path's, which ring perception's
-    candidate ordering depends on.
+    An edge lies on a cycle iff it is not a bridge of its component.  The
+    set is built by a comprehension over the bond dict, so its iteration
+    order (which ring perception's tie-breaking observes) depends only on
+    bond insertion order.
     """
     if bridge_set is None:
         bridge_set = bridges(mol)
@@ -120,24 +121,27 @@ def ring_bonds(mol: Molecule, bridge_set: set[tuple[int, int]] | None = None
 
 def rings(
     mol: Molecule,
-    ring_bond_set: set[tuple[int, int]],
-    n_components: int,
+    ring_bond_set: set[tuple[int, int]] | None = None,
+    n_components: int | None = None,
 ) -> list[list[int]]:
-    """``Molecule.rings()`` with its two graph sweeps supplied from cache.
+    """SSSR-like ring perception (stand-in for RDKit's ``GetSSSR``).
 
-    This is the exact algorithm from :meth:`Molecule.rings` — smallest
-    cycle through every ring bond, then a greedy GF(2)-independent basis —
-    with ``ring_bonds()`` and ``connected_components()`` replaced by the
-    precomputed arguments.  BFS tie-breaking goes through the molecule's
-    own adjacency sets, so the returned cycles are identical to the
-    scalar path's.
+    For every ring bond, find the smallest ring through it (BFS between
+    its endpoints with the bond removed), then greedily keep the shortest
+    rings that are linearly independent over GF(2) of the edge space, up
+    to the cyclomatic number.  ``ring_bond_set`` and ``n_components`` may
+    be passed in from a cache; otherwise they are computed here.
     """
+    if n_components is None:
+        n_components = len(connected_components(mol))
     target = mol.num_bonds - mol.num_atoms + n_components
     if target <= 0:
         return []
+    if ring_bond_set is None:
+        ring_bond_set = ring_bonds(mol)
     candidates: dict[frozenset, list[int]] = {}
     for u, v in ring_bond_set:
-        path = mol._shortest_path_avoiding_edge(u, v)
+        path = _shortest_path_avoiding_edge(mol, u, v)
         if path is None:  # pragma: no cover - ring bonds always close
             continue
         edges = frozenset(
@@ -163,3 +167,31 @@ def rings(
         if len(chosen) == target:
             break
     return chosen
+
+
+def _shortest_path_avoiding_edge(mol: Molecule, u: int, v: int
+                                 ) -> list[int] | None:
+    """Shortest path from u to v not using the direct (u, v) bond.
+
+    Neighbours are visited in the molecule's adjacency-set order, which
+    decides between equally short paths.
+    """
+    adjacency = mol._adjacency
+    prev: dict[int, int | None] = {u: None}
+    queue = deque([u])
+    while queue:
+        node = queue.popleft()
+        if node == v:
+            break
+        for nbr in adjacency[node]:
+            if {node, nbr} == {u, v}:
+                continue
+            if nbr not in prev:
+                prev[nbr] = node
+                queue.append(nbr)
+    if v not in prev:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import networkx as nx
-
+from . import graphs
 from .periodic import HYDROGEN_WEIGHT, element
 
 __all__ = ["AROMATIC", "Molecule", "BondOrder"]
@@ -29,6 +28,10 @@ class Molecule:
         self.symbols: list[str] = []
         self._bonds: dict[tuple[int, int], float] = {}
         self._adjacency: dict[int, set[int]] = {}
+        # Sum of bond orders per atom, updated by every bond edit.  Orders
+        # are multiples of 0.5, so the running sums are exact and equal a
+        # re-summation bit for bit.
+        self._valence: list[float] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -49,6 +52,7 @@ class Molecule:
         index = len(self.symbols)
         self.symbols.append(symbol)
         self._adjacency[index] = set()
+        self._valence.append(0.0)
         return index
 
     def add_bond(self, i: int, j: int, order: float = 1.0) -> None:
@@ -65,14 +69,18 @@ class Molecule:
         self._bonds[key] = order
         self._adjacency[i].add(j)
         self._adjacency[j].add(i)
+        self._valence[i] += order
+        self._valence[j] += order
 
     def remove_bond(self, i: int, j: int) -> None:
         key = (min(i, j), max(i, j))
         if key not in self._bonds:
             raise KeyError(f"no bond {key}")
-        del self._bonds[key]
+        order = self._bonds.pop(key)
         self._adjacency[i].discard(j)
         self._adjacency[j].discard(i)
+        self._valence[i] -= order
+        self._valence[j] -= order
 
     def set_bond_order(self, i: int, j: int, order: float) -> None:
         if float(order) not in _VALID_ORDERS:
@@ -80,13 +88,18 @@ class Molecule:
         key = (min(i, j), max(i, j))
         if key not in self._bonds:
             raise KeyError(f"no bond {key}")
-        self._bonds[key] = float(order)
+        order = float(order)
+        change = order - self._bonds[key]
+        self._bonds[key] = order
+        self._valence[i] += change
+        self._valence[j] += change
 
     def copy(self) -> "Molecule":
         mol = Molecule()
         mol.symbols = list(self.symbols)
         mol._bonds = dict(self._bonds)
         mol._adjacency = {k: set(v) for k, v in self._adjacency.items()}
+        mol._valence = list(self._valence)
         return mol
 
     def _check_atom(self, index: int) -> None:
@@ -123,10 +136,7 @@ class Molecule:
 
     def valence_used(self, index: int) -> float:
         """Sum of bond orders at an atom (aromatic counts 1.5)."""
-        return sum(
-            self._bonds[(min(index, j), max(index, j))]
-            for j in self._adjacency[index]
-        )
+        return self._valence[index]
 
     def implicit_hydrogens(self, index: int) -> int:
         """Hydrogens implied by unused valence (never negative).
@@ -163,19 +173,10 @@ class Molecule:
         return "".join(parts)
 
     # ------------------------------------------------------------------
-    # Graph views
+    # Graph views (algorithms in repro.chem.graphs)
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.Graph:
-        """Undirected graph with ``symbol`` node attrs and ``order`` edge attrs."""
-        graph = nx.Graph()
-        for index, symbol in enumerate(self.symbols):
-            graph.add_node(index, symbol=symbol)
-        for i, j, order in self.bonds():
-            graph.add_edge(i, j, order=order)
-        return graph
-
     def connected_components(self) -> list[set[int]]:
-        return [set(c) for c in nx.connected_components(self.to_networkx())]
+        return graphs.connected_components(self)
 
     def is_connected(self) -> bool:
         if self.num_atoms == 0:
@@ -185,70 +186,11 @@ class Molecule:
     def rings(self) -> list[list[int]]:
         """SSSR-like ring perception (stand-in for RDKit's GetSSSR).
 
-        For every bond on a cycle, find the smallest ring through it (BFS
-        between its endpoints with the bond removed), then greedily keep the
-        shortest rings that are linearly independent over GF(2) of the edge
-        space, up to the cyclomatic number.  This matches
-        ``nx.minimum_cycle_basis`` on molecular graphs but is ~50x faster,
-        which matters because dataset generation rings thousands of
-        molecules.
+        The smallest ring through every ring bond, then a greedy
+        GF(2)-independent selection up to the cyclomatic number; see
+        :func:`repro.chem.graphs.rings`.
         """
-        target = self.num_bonds - self.num_atoms + len(self.connected_components())
-        if target <= 0:
-            return []
-        candidates: dict[frozenset, list[int]] = {}
-        for u, v in self.ring_bonds():
-            path = self._shortest_path_avoiding_edge(u, v)
-            if path is None:  # pragma: no cover - ring bonds always close
-                continue
-            edges = frozenset(
-                (min(a, b), max(a, b)) for a, b in zip(path, path[1:] + path[:1])
-            )
-            if edges not in candidates:
-                candidates[edges] = path
-        ordered = sorted(candidates.values(), key=len)
-        edge_index = {key: i for i, key in enumerate(self._bonds)}
-        pivots: dict[int, int] = {}
-        chosen: list[list[int]] = []
-        for cycle in ordered:
-            vec = 0
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                vec |= 1 << edge_index[(min(a, b), max(a, b))]
-            while vec:
-                high = vec.bit_length() - 1
-                if high not in pivots:
-                    pivots[high] = vec
-                    chosen.append(cycle)
-                    break
-                vec ^= pivots[high]
-            if len(chosen) == target:
-                break
-        return chosen
-
-    def _shortest_path_avoiding_edge(
-        self, u: int, v: int
-    ) -> list[int] | None:
-        """Shortest path from u to v not using the direct (u, v) bond."""
-        from collections import deque
-
-        prev: dict[int, int | None] = {u: None}
-        queue = deque([u])
-        while queue:
-            node = queue.popleft()
-            if node == v:
-                break
-            for nbr in self._adjacency[node]:
-                if {node, nbr} == {u, v}:
-                    continue
-                if nbr not in prev:
-                    prev[nbr] = node
-                    queue.append(nbr)
-        if v not in prev:
-            return None
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        return path
+        return graphs.rings(self)
 
     def ring_bonds(self) -> set[tuple[int, int]]:
         """All bonds that participate in at least one ring.
@@ -256,9 +198,7 @@ class Molecule:
         An edge lies on a cycle if and only if it is not a bridge of its
         connected component, so ring bonds = bonds minus bridges.
         """
-        graph = self.to_networkx()
-        bridges = {(min(a, b), max(a, b)) for a, b in nx.bridges(graph)}
-        return {key for key in self._bonds if key not in bridges}
+        return graphs.ring_bonds(self)
 
     def atoms_in_rings(self) -> set[int]:
         return {atom for ring in self.rings() for atom in ring}

@@ -87,7 +87,7 @@ def same_molecule(a: Molecule, b: Molecule) -> bool:
 
     Uses canonical signatures; Morgan refinement distinguishes everything
     our generators produce (highly symmetric counterexamples would need a
-    full isomorphism check, which networkx provides if ever required).
+    full graph-isomorphism check).
     """
     return canonical_signature(a) == canonical_signature(b)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from ..chem.batch import descriptor_matrix_batch
 from ..chem.crippen import crippen_logp
@@ -32,6 +31,7 @@ __all__ = [
     "descriptor_matrix",
     "descriptor_matrix_reference",
     "distribution_report",
+    "wasserstein_distance",
 ]
 
 DESCRIPTOR_NAMES = (
@@ -78,6 +78,28 @@ def descriptor_matrix_reference(molecules: list[Molecule]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(-1, len(DESCRIPTOR_NAMES))
 
 
+def wasserstein_distance(u_values, v_values) -> float:
+    """Wasserstein-1 distance between two 1-D empirical distributions.
+
+    The integral of ``|U - V|`` over the merged sample, where ``U`` and
+    ``V`` are the two empirical CDFs.  Every step, down to reducing with
+    ``np.vecdot`` rather than ``np.sum``, is the one
+    ``scipy.stats.wasserstein_distance`` takes, so the two agree with
+    plain ``==``.
+    """
+    u_values = np.asarray(u_values, dtype=np.float64)
+    v_values = np.asarray(v_values, dtype=np.float64)
+    if u_values.size == 0 or v_values.size == 0:
+        raise ValueError("both distributions must be non-empty")
+    all_values = np.concatenate((u_values, v_values))
+    all_values.sort(kind="mergesort")
+    deltas = np.diff(all_values)
+    edges = all_values[:-1]
+    u_cdf = np.sort(u_values).searchsorted(edges, "right") / u_values.size
+    v_cdf = np.sort(v_values).searchsorted(edges, "right") / v_values.size
+    return float(np.vecdot(np.abs(u_cdf - v_cdf), deltas))
+
+
 @dataclass
 class DescriptorDistributions:
     """Wasserstein distance per descriptor between two molecule sets."""
@@ -119,6 +141,6 @@ def distribution_report(
     result = DescriptorDistributions()
     for column, name in enumerate(DESCRIPTOR_NAMES):
         scale = max(float(ref[:, column].std()), 1e-9)
-        distance = stats.wasserstein_distance(ref[:, column], gen[:, column])
+        distance = wasserstein_distance(ref[:, column], gen[:, column])
         result.distances[name] = float(distance / scale)
     return result

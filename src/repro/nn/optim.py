@@ -119,8 +119,11 @@ class Adam(Optimizer):
                 key = id(param)
                 t = self._t.get(key, 0) + 1
                 self._t[key] = t
-                m = self._m.get(key, np.zeros_like(param.data))
-                v = self._v.get(key, np.zeros_like(param.data))
+                m = self._m.get(key)
+                if m is None:  # zero moments, allocated on the first step only
+                    m = v = np.zeros_like(param.data)
+                else:
+                    v = self._v[key]
                 m = beta1 * m + (1.0 - beta1) * param.grad
                 v = beta2 * v + (1.0 - beta2) * param.grad**2
                 self._m[key] = m

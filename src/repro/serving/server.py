@@ -12,7 +12,9 @@ Responses carry ``{"ok": true, ...}`` with the result fields, or
 ``{"ok": false, "error": <name>, "message": <text>}`` where ``error`` is
 one of ``queue_full`` / ``request_timeout`` / ``service_closed`` /
 ``bad_request`` / ``error`` — :class:`repro.serving.client.NetworkClient`
-maps these back onto the :class:`ServingError` hierarchy.
+maps these back onto the :class:`ServingError` hierarchy.  A line that is
+not valid JSON, or is JSON but not an object, gets one ``bad_request``
+reply and the connection stays open.
 
 Each connection gets its own handler thread
 (``socketserver.ThreadingTCPServer``), so concurrent connections submit
@@ -86,9 +88,11 @@ class GenerationServer(socketserver.ThreadingTCPServer):
         self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def dispatch(self, message: dict) -> dict:
-        kind = message.get("kind")
+    def dispatch(self, message) -> dict:
         try:
+            if not isinstance(message, dict):
+                raise TypeError("request must be a JSON object")
+            kind = message.get("kind")
             if kind == "ping":
                 return {"ok": True}
             if kind == "stats":

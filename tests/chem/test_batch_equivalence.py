@@ -106,6 +106,7 @@ def assert_same_graph(a, b):
     assert a._bonds == b._bonds
     assert list(a._bonds) == list(b._bonds)  # insertion order too
     assert a._adjacency == b._adjacency
+    assert a._valence == b._valence
 
 
 class TestPackedDecode:

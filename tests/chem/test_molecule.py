@@ -155,11 +155,6 @@ class TestGraphQueries:
         assert sub.symbols == ["C", "O"]
         assert sub.bond_order(0, 1) == 1.0
 
-    def test_to_networkx_attrs(self):
-        graph = ethanol().to_networkx()
-        assert graph.nodes[2]["symbol"] == "O"
-        assert graph.edges[0, 1]["order"] == 1.0
-
     def test_equality(self):
         assert ethanol() == ethanol()
         other = ethanol()

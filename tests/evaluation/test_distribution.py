@@ -9,6 +9,7 @@ from repro.evaluation import (
     descriptor_matrix,
     distribution_report,
 )
+from repro.evaluation.distribution import wasserstein_distance
 
 
 def small_set(seed, spec=None, n=25):
@@ -66,3 +67,56 @@ class TestDistributionReport:
         report = distribution_report(small_set(10), small_set(11))
         text = report.format_table()
         assert "MEAN" in text and "qed" in text
+
+    def test_equals_scipy_per_descriptor(self):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = small_set(12), small_set(13)
+        report = distribution_report(a, b)
+        ref, gen = descriptor_matrix(a), descriptor_matrix(b)
+        for column, name in enumerate(DESCRIPTOR_NAMES):
+            scale = max(float(ref[:, column].std()), 1e-9)
+            expected = stats.wasserstein_distance(ref[:, column], gen[:, column])
+            assert report.distances[name] == float(expected / scale)
+
+
+class TestWassersteinDistance:
+    # Inputs whose CDF steps and gaps are dyadic, so the exact answer is
+    # also the floating-point one.
+    def test_point_masses(self):
+        assert wasserstein_distance([1.0, 1.0, 1.0], [4.0, 4.0]) == 3.0
+
+    def test_single_samples(self):
+        assert wasserstein_distance([3.0], [-1.0]) == 4.0
+
+    def test_shift(self):
+        u = np.array([0.0, 1.0, 3.0, 4.0])
+        assert wasserstein_distance(u, u + 2.0) == 2.0
+
+    def test_ties(self):
+        # Half of u but a quarter of v sits at 0, so the CDFs differ by
+        # 1/4 across [0, 1).
+        assert wasserstein_distance([0.0, 0.0, 1.0, 1.0],
+                                    [0.0, 1.0, 1.0, 1.0]) == 0.25
+
+    def test_identical_and_symmetric(self):
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=17), rng.normal(size=5)
+        assert wasserstein_distance(u, u) == 0.0
+        assert wasserstein_distance(u, v) == wasserstein_distance(v, u)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            wasserstein_distance([], [1.0])
+
+    def test_equals_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(3)
+        for __ in range(1000):
+            n, m = rng.integers(1, 30, size=2)
+            # Coarse grids force ties within and across the samples.
+            u = rng.integers(0, 5, size=n) * 0.3
+            if rng.random() < 0.3:
+                v = rng.normal(size=m)
+            else:
+                v = rng.integers(0, 5, size=m) * 0.3 + 0.1
+            assert wasserstein_distance(u, v) == stats.wasserstein_distance(u, v)

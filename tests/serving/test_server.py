@@ -1,5 +1,6 @@
 """Tests for the JSON-lines TCP front end and its network client."""
 
+import json
 import threading
 
 import numpy as np
@@ -123,12 +124,25 @@ class TestWireErrors:
         with client_for(server) as client:
             client._file.write("this is not json\n")
             client._file.flush()
-            import json
-
             response = json.loads(client._file.readline())
             assert response["ok"] is False
             assert response["error"] == "bad_request"
             assert client.ping()  # connection survives
+
+    def test_json_that_is_not_an_object_is_bad_request(self, server):
+        lines = ['"x"', "[1, 2]", "3", "null"]
+        with client_for(server) as client:
+            for line in lines:
+                client._file.write(line + "\n")
+            client._file.flush()
+            for line in lines:
+                response = json.loads(client._file.readline())
+                assert response["ok"] is False, line
+                assert response["error"] == "bad_request", line
+                assert "JSON object" in response["message"]
+            # One reply per line: the next reply on the same connection
+            # answers the ping.
+            assert client.ping()
 
     def test_sample_from_plain_ae_maps_to_bad_request(self, tmp_path):
         path = save_module(
