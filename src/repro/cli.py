@@ -102,6 +102,25 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _non_negative_int(value: str) -> int:
+    """argparse type for ``--seed``.
+
+    numpy's ``default_rng`` rejects negative seeds, which used to surface
+    as a traceback from deep inside dataset generation.
+    """
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}"
+        ) from None
+    if number < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}"
+        )
+    return number
+
+
 def _positive_float(value: str) -> float:
     """argparse type for strictly positive float flags."""
     try:
@@ -138,7 +157,6 @@ def _cmd_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size,
         quantum_lr=args.quantum_lr, classical_lr=args.classical_lr,
         seed=args.seed, precision=args.precision, backend=args.backend,
-        workers=args.workers,
     )
     trainer = Trainer(model, config)
     history = trainer.fit(train, test_data=test)
@@ -309,21 +327,17 @@ def main(argv: list[str] | None = None) -> int:
                        default=None,
                        help="kernel backend for the run (recorded in the "
                             "checkpoint; default numpy)")
-    train.add_argument("--workers", type=_positive_int, default=None,
-                       help="data-parallel worker processes sharing the "
-                            "batch through shared memory (default: "
-                            "single-process training)")
     train.add_argument("--normalize", action="store_true",
                        help="L1-normalize features (F-BQ models need this)")
     train.add_argument("--warm-start-bias", action="store_true")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_non_negative_int, default=0)
     train.add_argument("--out", type=str, default="")
     train.set_defaults(func=_cmd_train)
 
     sample = sub.add_parser("sample", help="sample molecules from a checkpoint")
     sample.add_argument("--checkpoint", required=True)
     sample.add_argument("--count", type=_positive_int, default=10)
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=_non_negative_int, default=0)
     sample.set_defaults(func=_cmd_sample)
 
     serve = sub.add_parser(
@@ -350,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     stats = sub.add_parser("stats", help="dataset composition statistics")
     stats.add_argument("--dataset", choices=sorted(_DATASETS), required=True)
     stats.add_argument("--samples", type=_positive_int, default=128)
-    stats.add_argument("--seed", type=int, default=0)
+    stats.add_argument("--seed", type=_non_negative_int, default=0)
     stats.set_defaults(func=_cmd_stats)
 
     drawcmd = sub.add_parser("draw", help="ASCII-draw a model's encoder circuit")
@@ -358,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     drawcmd.add_argument("--patches", type=_positive_int, default=4)
     drawcmd.add_argument("--layers", type=int, default=0)
     drawcmd.add_argument("--columns", type=_positive_int, default=12)
-    drawcmd.add_argument("--seed", type=int, default=0)
+    drawcmd.add_argument("--seed", type=_non_negative_int, default=0)
     drawcmd.set_defaults(func=_cmd_draw)
 
     args = parser.parse_args(argv)

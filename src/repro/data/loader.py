@@ -109,9 +109,7 @@ class DataLoader:
         One permutation is drawn per call (exactly as ``__iter__``
         consumes the seeded stream), so driving an epoch through indices
         selects bit-for-bit the same rows as iterating feature batches —
-        this is the seam the training strategies use: an index batch is
-        cheap to ship to worker processes that already hold the feature
-        matrix in shared memory.
+        this is the seam the training strategies use.
         """
         n = len(self.dataset)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)

@@ -24,19 +24,13 @@ from .baseline import (
     HybridQuantumVAE,
 )
 from .classical import ClassicalAE, ClassicalVAE, default_hidden_dims
-from .factory import (
-    MODEL_CHOICES,
-    build_from_metadata,
-    build_model,
-    model_metadata,
-)
+from .factory import MODEL_CHOICES, build_from_metadata, build_model
 from .scalable import DEFAULT_SQ_LAYERS, ScalableQuantumAE, ScalableQuantumVAE
 
 __all__ = [
     "MODEL_CHOICES",
     "build_model",
     "build_from_metadata",
-    "model_metadata",
     "Autoencoder",
     "AutoencoderOutput",
     "VariationalMixin",

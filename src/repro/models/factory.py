@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.precision import resolve_precision
 from .baseline import (
     FullyQuantumAE,
     FullyQuantumVAE,
@@ -23,8 +22,7 @@ from .baseline import (
 from .classical import ClassicalAE, ClassicalVAE
 from .scalable import ScalableQuantumAE, ScalableQuantumVAE
 
-__all__ = ["MODEL_CHOICES", "build_model", "build_from_metadata",
-           "model_metadata"]
+__all__ = ["MODEL_CHOICES", "build_model", "build_from_metadata"]
 
 MODEL_CHOICES = ("ae", "vae", "f-bq-ae", "f-bq-vae", "h-bq-ae", "h-bq-vae",
                  "sq-ae", "sq-vae")
@@ -89,51 +87,3 @@ def build_from_metadata(metadata: dict):
         metadata.get("seed", 0),
         dtype=metadata.get("precision"),
     )
-
-
-# Exact-type lookup for model_metadata: a *subclass* of a factory
-# architecture carries behavior build_model cannot rebuild, so it must not
-# silently round-trip as its base class.
-_METADATA_NAMES = {
-    ClassicalAE: "ae",
-    ClassicalVAE: "vae",
-    FullyQuantumAE: "f-bq-ae",
-    FullyQuantumVAE: "f-bq-vae",
-    HybridQuantumAE: "h-bq-ae",
-    HybridQuantumVAE: "h-bq-vae",
-    ScalableQuantumAE: "sq-ae",
-    ScalableQuantumVAE: "sq-vae",
-}
-
-
-def model_metadata(model, seed: int = 0) -> dict:
-    """Factory metadata that rebuilds a live model's architecture.
-
-    The inverse of :func:`build_from_metadata` for modules of the eight
-    factory architectures: data-parallel training workers rebuild the
-    model from this dict (plus a parameter sync) instead of pickling the
-    live module.  ``seed`` lands in the metadata verbatim — it seeds the
-    rebuilt module's weight init (irrelevant once parameters are synced)
-    and, for variational models, the reparameterization noise stream.
-
-    Raises ``TypeError`` for anything that is not *exactly* a factory
-    class; note the caller still has to verify parameter shapes match
-    (e.g. a ``ClassicalAE`` built with custom ``hidden_dims`` rebuilds
-    with the default widths).
-    """
-    name = _METADATA_NAMES.get(type(model))
-    if name is None:
-        raise TypeError(
-            f"{type(model).__name__} is not one of the factory "
-            f"architectures ({sorted(_METADATA_NAMES.values())}); it "
-            "cannot be rebuilt from metadata in a worker process"
-        )
-    return {
-        "model": name,
-        "input_dim": model.input_dim,
-        "n_patches": getattr(model, "n_patches", 4),
-        "n_layers": getattr(model, "n_layers", 2),
-        "latent_dim": model.latent_dim,
-        "seed": seed,
-        "precision": resolve_precision(getattr(model, "precision", None)).name,
-    }

@@ -11,13 +11,6 @@ from . import functional
 from . import graph
 from . import init
 from .autodiff import enable_grad, grad, hvp
-from .flat import (
-    FlatLayout,
-    FlatSlot,
-    gradient_layout,
-    parameter_layout,
-    unique_named_parameters,
-)
 from .graph import (
     GraphPlan,
     clear_plan_cache,
@@ -99,9 +92,4 @@ __all__ = [
     "set_default_precision",
     "use_precision",
     "resolve_precision",
-    "FlatLayout",
-    "FlatSlot",
-    "parameter_layout",
-    "gradient_layout",
-    "unique_named_parameters",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "set_default_precision",
     "use_precision",
     "resolve_precision",
-    "precision_from_descriptor",
     "grad_dtype",
     "real_dtype_for",
     "complex_dtype_for",
@@ -64,16 +63,6 @@ class Precision:
     real: np.dtype
     complex: np.dtype
     grad_real: np.dtype
-
-    def descriptor(self) -> str:
-        """The policy's stable cross-process form (its name).
-
-        Worker processes rebuild their execution context from descriptors
-        instead of inheriting pickled live state
-        (:mod:`repro.training.parallel`); round-trips through
-        :func:`precision_from_descriptor`.
-        """
-        return self.name
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"Precision({self.name!r})"
@@ -156,16 +145,6 @@ def resolve_precision(spec=None) -> Precision:
         f"unsupported precision spec {spec!r}; expected one of "
         f"{sorted(_BY_NAME)} or a float32/float64/complex64/complex128 dtype"
     )
-
-
-def precision_from_descriptor(descriptor: str) -> Precision:
-    """Rebuild the policy a :meth:`Precision.descriptor` names.
-
-    The inverse of ``descriptor()`` for a fresh process: descriptors are
-    plain strings, so they cross process boundaries without pickling any
-    dtype state.
-    """
-    return resolve_precision(descriptor)
 
 
 def grad_dtype(data_dtype) -> np.dtype:

@@ -64,7 +64,6 @@ __all__ = [
     "ThreadedBackend",
     "register_backend",
     "available_backends",
-    "backend_from_descriptor",
     "default_backend",
     "set_default_backend",
     "use_backend",
@@ -166,18 +165,6 @@ class KernelBackend:
     def row_norms(self, rows):
         """Per-row L2 norms of a real ``(rows, d)`` feature block."""
         raise NotImplementedError
-
-    # -- cross-process identity -----------------------------------------
-    def descriptor(self) -> dict:
-        """A picklable description a fresh process can rebuild this from.
-
-        Backends hold live state that must not cross process boundaries
-        (thread pools, locks); a descriptor carries only the name plus
-        constructor options, and :func:`backend_from_descriptor` rebuilds
-        an equivalent instance on the other side.  Subclasses with
-        constructor options override this to include them.
-        """
-        return {"name": self.name}
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"{type(self).__name__}()"
@@ -387,14 +374,6 @@ class ThreadedBackend(NumpyBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"ThreadedBackend(max_workers={self.max_workers})"
-
-    def descriptor(self) -> dict:
-        """Name plus the resolved pool options (the pool itself stays put)."""
-        return {
-            "name": self.name,
-            "max_workers": self.max_workers,
-            "min_shard_elements": self.min_shard_elements,
-        }
 
     # -- pool / shard plumbing ------------------------------------------
     def _executor(self) -> ThreadPoolExecutor:
@@ -641,44 +620,6 @@ def available_backends() -> tuple[str, ...]:
 
 register_backend(NumpyBackend())
 register_backend(ThreadedBackend())
-
-# Constructible-by-name backend classes for descriptor round-trips.  The
-# registry above holds *instances* (shared pools); this maps a descriptor's
-# name to the class a fresh process instantiates from the recorded options.
-_DESCRIPTOR_TYPES: dict[str, type] = {
-    NumpyBackend.name: NumpyBackend,
-    ThreadedBackend.name: ThreadedBackend,
-}
-
-
-def backend_from_descriptor(descriptor: dict) -> KernelBackend:
-    """Rebuild the backend a :meth:`KernelBackend.descriptor` describes.
-
-    The worker-process side of the descriptor contract: known backend
-    classes are constructed fresh from the recorded options (a new
-    process must own its own pools).  A name that is not a known class
-    falls back to this process's registry — a custom backend registered
-    under the same name in the worker resolves there — and anything else
-    raises naming the descriptor.
-    """
-    if not isinstance(descriptor, dict) or "name" not in descriptor:
-        raise ValueError(
-            f"backend descriptor must be a dict with a 'name' key, got "
-            f"{descriptor!r}"
-        )
-    options = dict(descriptor)
-    name = options.pop("name")
-    cls = _DESCRIPTOR_TYPES.get(name)
-    if cls is not None:
-        return cls(**options)
-    backend = _REGISTRY.get(name)
-    if backend is not None and not options:
-        return backend
-    raise ValueError(
-        f"cannot rebuild kernel backend from descriptor {descriptor!r}; "
-        f"known descriptor types: {sorted(_DESCRIPTOR_TYPES)}, registered "
-        f"backends: {sorted(_REGISTRY)}"
-    )
 
 
 def resolve_backend(spec=None) -> KernelBackend:

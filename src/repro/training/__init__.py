@@ -2,7 +2,6 @@
 
 from .history import EpochRecord, History
 from .losses import LossTerms, autoencoder_loss
-from .parallel import ParallelTrainStep, ShardedTrainStep
 from .strategies import SequentialTrainStep, TrainStep, clip_grad_norm
 from .trainer import (
     PAPER_CLASSICAL_LR,
@@ -21,8 +20,6 @@ __all__ = [
     "Trainer",
     "TrainStep",
     "SequentialTrainStep",
-    "ShardedTrainStep",
-    "ParallelTrainStep",
     "clip_grad_norm",
     "evaluate_reconstruction",
     "PAPER_QUANTUM_LR",

@@ -8,8 +8,7 @@ itself.  The contract:
 * ``setup(trainer, features)`` binds the strategy to one ``fit`` call:
   the trainer's model/optimizer/config and the training feature matrix.
   It runs inside the fit's precision and backend scopes, so a strategy
-  that captures execution context (the parallel one) reads the *resolved*
-  policies here.
+  that captures execution context reads the *resolved* policies here.
 * ``step(indices)`` performs exactly one optimizer update from the rows
   ``features[indices]`` — forward, loss, backward, optional gradient
   clipping, ``optimizer.step()`` — and returns the batch's
@@ -21,8 +20,7 @@ itself.  The contract:
   must be idempotent.
 
 :class:`SequentialTrainStep` is the default strategy: the original
-single-process loop body, bit-for-bit.  The data-parallel strategies live
-in :mod:`repro.training.parallel`.
+single-process loop body, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -47,9 +45,7 @@ def clip_grad_norm(parameters, max_norm: float) -> float:
     ``.sum()`` reduces in *memory* order, so an F-ordered gradient (a
     matmul VJP is often a transposed view) would otherwise round its
     pairwise sum differently from a C-ordered copy of the same values —
-    the norm must not depend on gradient memory layout, or the
-    data-parallel strategies (whose reduced gradients are C-contiguous)
-    could never bitwise-match the sequential path.
+    the norm must not depend on gradient memory layout.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")

@@ -9,8 +9,7 @@ The loop itself is split in two: :class:`Trainer` runs everything that
 happens *between* optimizer updates (epoch accounting, the scheduler,
 early stopping, history), while a :class:`~repro.training.strategies
 .TrainStep` strategy executes each update.  The default strategy is the
-historical in-process loop body; ``TrainConfig.workers`` swaps in the
-shared-memory data-parallel strategy from :mod:`repro.training.parallel`.
+historical in-process loop body.
 """
 
 from __future__ import annotations
@@ -61,12 +60,6 @@ class TrainConfig:
     # default).  "threaded" scopes the row-sharding backend over the loop,
     # so every quantum layer's stacked passes run on the worker pool.
     backend: str | None = None
-    # Data-parallel worker processes (None = single-process strategy).
-    # Each batch is sharded across N spawned workers that compute
-    # gradients against a shared-memory parameter block; the master
-    # reduces them in fixed worker order, so a given N is deterministic
-    # and workers=1 reproduces the sequential trainer bit for bit.
-    workers: int | None = None
     # Learning-rate schedule: a factory called once with the optimizer
     # (e.g. ``lambda opt: StepLR(opt, step_size=5, gamma=0.5)``) and
     # stepped once per epoch.  Schedulers rescale every parameter group
@@ -111,14 +104,7 @@ class Trainer:
             if config.scheduler is not None
             else None
         )
-        if strategy is None:
-            if config.workers is None:
-                strategy = SequentialTrainStep()
-            else:
-                from .parallel import ParallelTrainStep
-
-                strategy = ParallelTrainStep(config.workers)
-        self.strategy = strategy
+        self.strategy = SequentialTrainStep() if strategy is None else strategy
 
     def fit(
         self,

@@ -229,6 +229,19 @@ class TestFlagValidation:
         assert f"argument {flag}" in err
         assert "expected a positive" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "vae", "--dataset", "qm9"],
+        ["sample", "--checkpoint", "x.npz"],
+        ["stats", "--dataset", "qm9"],
+        ["draw", "--model", "sq-ae"],
+    ])
+    def test_negative_seed_rejected_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main([*argv, "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert "argument --seed" in err
+        assert "expected a non-negative integer" in err
+
 
 class TestStatsAndDraw:
     def test_stats_qm9(self, capsys):

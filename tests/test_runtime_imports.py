@@ -10,12 +10,12 @@ import repro
 SRC = Path(repro.__file__).resolve().parent.parent
 
 
-def test_entry_points_load_neither_scipy_nor_networkx():
+def _loaded_after(statement: str, modules: set[str]) -> str:
+    """Which of ``modules`` a fresh interpreter holds after ``statement``."""
     probe = (
         "import sys\n"
-        "import repro.cli, repro.experiments.run, repro.serving\n"
-        "print(sorted({name.split('.')[0] for name in sys.modules}"
-        " & {'scipy', 'networkx'}))\n"
+        f"{statement}\n"
+        f"print(sorted(set(sys.modules) & {modules!r}))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -23,4 +23,16 @@ def test_entry_points_load_neither_scipy_nor_networkx():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_entry_points_load_neither_scipy_nor_networkx():
+    assert _loaded_after("import repro.cli, repro.experiments.run, repro.serving",
+                         {"scipy", "networkx"}) == "[]"
+
+
+def test_experiment_runner_imports_no_process_machinery():
+    # Pool workers import the runner before they run anything, and so
+    # does repro-quick's set-up probe: the pool is imported inside main.
+    assert _loaded_after("import repro.experiments.run",
+                         {"multiprocessing", "concurrent.futures.process"}) == "[]"
