@@ -1,9 +1,11 @@
 """Tests for the top-level command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _non_negative_int, main
 
 
 class TestTrain:
@@ -241,6 +243,31 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert "argument --seed" in err
         assert "expected a non-negative integer" in err
+
+    def test_data_parallel_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--model", "ae", "--dataset", "qm9",
+                  "--workers", "1"])
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+
+
+class TestNonNegativeInt:
+    """The ``--seed`` argparse type."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0),
+        ("42", 42),
+        ("18446744073709551616", 2**64),  # default_rng takes any size
+    ])
+    def test_accepts(self, text, value):
+        assert _non_negative_int(text) == value
+
+    @pytest.mark.parametrize("text", ["-1", "seven", "1.5", ""])
+    def test_rejects_naming_the_value(self, text):
+        with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+            _non_negative_int(text)
+        assert str(excinfo.value) == \
+            f"expected a non-negative integer, got {text!r}"
 
 
 class TestStatsAndDraw:

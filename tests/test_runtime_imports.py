@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
@@ -29,6 +31,15 @@ def _loaded_after(statement: str, modules: set[str]) -> str:
 def test_entry_points_load_neither_scipy_nor_networkx():
     assert _loaded_after("import repro.cli, repro.experiments.run, repro.serving",
                          {"scipy", "networkx"}) == "[]"
+
+
+@pytest.mark.parametrize("module", ["repro.cli", "repro.serving",
+                                    "repro.training"])
+def test_entry_points_import_no_process_machinery(module):
+    # The experiment runner's pool is the repo's one use of worker
+    # processes, so nothing else may pay for importing their machinery.
+    assert _loaded_after(f"import {module}",
+                         {"multiprocessing", "concurrent.futures.process"}) == "[]"
 
 
 def test_experiment_runner_imports_no_process_machinery():

@@ -6,7 +6,9 @@ import pytest
 from repro.data import ArrayDataset
 from repro.models import ClassicalAE, build_model
 from repro.nn import Parameter
+from repro.nn.schedulers import StepLR
 from repro.training import (
+    LossTerms,
     SequentialTrainStep,
     TrainConfig,
     Trainer,
@@ -85,6 +87,44 @@ class TestStrategySeam:
     def test_abstract_step_raises(self):
         with pytest.raises(NotImplementedError):
             TrainStep().step(np.arange(4))
+
+
+class TestTrainerSideControl:
+    """Scheduler stepping and early stopping belong to the trainer: a
+    strategy only executes updates."""
+
+    def test_scheduler_steps_once_per_epoch_between_updates(self):
+        seen = []
+
+        class LrRecorder(SequentialTrainStep):
+            def step(self, indices):
+                seen.append(self.optimizer.param_groups[0]["lr"])
+                return super().step(indices)
+
+        config = TrainConfig(
+            epochs=3, batch_size=8, classical_lr=0.01,
+            scheduler=lambda opt: StepLR(opt, step_size=1, gamma=0.5),
+        )
+        Trainer(make_model(), config, strategy=LrRecorder()).fit(toy_data(n=16))
+        assert seen == pytest.approx([0.01, 0.01, 0.005, 0.005,
+                                      0.0025, 0.0025])
+
+    def test_early_stopping_ends_a_fit_that_never_improves(self):
+        class Frozen(TrainStep):
+            # Reports a loss but never updates, so the test loss is flat.
+            def step(self, indices):
+                return LossTerms(total=1.0, reconstruction=1.0, kl=0.0)
+
+        config = TrainConfig(epochs=10, batch_size=8, early_stop_patience=2)
+        history = Trainer(make_model(), config, strategy=Frozen()).fit(
+            toy_data(n=16, seed=1), test_data=toy_data(n=8, seed=2))
+        # Epoch 1 sets the best test loss; epochs 2 and 3 fail to beat it.
+        assert len(history.epochs) == 3
+        assert len({record.test_loss for record in history.epochs}) == 1
+
+    def test_data_parallel_workers_option_is_gone(self):
+        with pytest.raises(TypeError, match="workers"):
+            TrainConfig(epochs=1, workers=2)
 
 
 class TestEpochRecords:
