@@ -204,7 +204,7 @@ def bench_patched_encoder_forward_1024(benchmark):
     assert out.shape == (32, 32)
 
 
-def _patched_encoder(n_patches, stacked, batch=32, dtype=None, backend=None):
+def _patched_encoder(n_patches, stacked, batch=32, dtype=None):
     """A paper-scale patched encoder (1024 features, 5 SEL layers) + batch."""
     rng = np.random.default_rng(5)
     qubits = patch_qubits(1024, n_patches)
@@ -216,7 +216,6 @@ def _patched_encoder(n_patches, stacked, batch=32, dtype=None, backend=None):
         rng=rng,
         stacked=stacked,
         dtype=dtype,
-        backend=backend,
     )
     x = Tensor(
         np.abs(rng.normal(size=(batch, 1024))) + 0.01,
@@ -302,42 +301,6 @@ def bench_patched_fwd_bwd_p16_c64(benchmark):
     out = benchmark(_patched_step(layer, x))
     assert out.shape == (32, 96)
     assert out.data.dtype == np.float32
-
-
-def bench_patched_fwd_bwd_p8_threaded(benchmark):
-    """Stacked p=8/batch=32 training pass on the ThreadedBackend — the
-    row-sharding kernel set (ratio vs. the NumpyBackend
-    ``bench_patched_fwd_bwd_p8`` is recorded as a ``_threaded`` speedup by
-    ``run_kernels.py``)."""
-    layer, x = _patched_encoder(8, stacked=True, backend="threaded")
-    out = benchmark(_patched_step(layer, x))
-    assert out.shape == (32, 56)
-
-
-def bench_patched_fwd_bwd_p16_threaded(benchmark):
-    """Stacked p=16/batch=32 training pass on the ThreadedBackend: the
-    (16*32, 2**6) row dimension shards across the worker pool per kernel.
-    This is the backend's headline gate — ``run_kernels.py --check``
-    requires it to beat the NumpyBackend twin wherever the pool resolves
-    more than one worker."""
-    layer, x = _patched_encoder(16, stacked=True, backend="threaded")
-    out = benchmark(_patched_step(layer, x))
-    assert out.shape == (32, 96)
-
-
-def bench_circuit_forward_8q_5layers_threaded(benchmark):
-    """The compiled (p = 1) forward pass on the ThreadedBackend — recorded
-    for the backend-overhead trajectory; not floored (a single-instance
-    batch-32 pass leaves little row parallelism to win from)."""
-    circuit = _sel_circuit()
-    rng = np.random.default_rng(0)
-    weights = rng.uniform(-np.pi, np.pi, circuit.n_weights)
-    inputs = np.abs(rng.normal(size=(32, 256))) + 0.01
-    out, __ = benchmark(
-        lambda: execute(circuit, inputs, weights, want_cache=False,
-                        backend="threaded")
-    )
-    assert out.shape == (32, 8)
 
 
 def bench_sq_ae_training_step(benchmark):

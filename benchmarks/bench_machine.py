@@ -1,8 +1,9 @@
 """Shared machine stamp for every ``BENCH_*.json`` payload.
 
 Benchmark floors are only comparable between runs on similar hardware, so
-each runner records the CPU count and the BLAS implementation numpy was
-built against next to its timings.  Kept defensive: ``np.show_config``
+each runner records the CPU count, the BLAS implementation numpy was
+built against and the number of threads that BLAS runs with next to its
+timings.  Kept defensive: ``np.show_config``
 grew its machine-readable ``mode="dicts"`` form in numpy 1.25, and the
 layout of the returned dict is not a stable API — any shape surprise
 degrades to ``None`` rather than failing a benchmark run.
@@ -10,8 +11,10 @@ degrades to ``None`` rather than failing a benchmark run.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +39,29 @@ def blas_vendor() -> str | None:
     return name if isinstance(name, str) and name else None
 
 
+def blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs with, or None if undetectable.
+
+    Asked of the loaded library itself, so the answer reflects
+    ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` as OpenBLAS read them.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            query = getattr(lib, symbol, None)
+            if query is not None:
+                query.argtypes = []
+                query.restype = ctypes.c_int
+                return int(query())
+    return None
+
+
 def machine_stamp() -> dict:
     """Keys merged into every benchmark payload."""
     return {
@@ -43,4 +69,5 @@ def machine_stamp() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "blas": blas_vendor(),
+        "blas_threads": blas_threads(),
     }

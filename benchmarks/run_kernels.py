@@ -37,7 +37,6 @@ from bench_machine import machine_stamp  # noqa: E402
 
 _NAIVE_SUFFIX = "_naive"
 _C64_SUFFIX = "_c64"
-_THREADED_SUFFIX = "_threaded"
 
 # Floors asserted by --check: the measured speedup of each benchmark over its
 # ``*_naive`` baseline must stay at or above these.  Values sit well below
@@ -82,30 +81,6 @@ C64_SPEEDUP_FLOORS = {
     "bench_patched_fwd_bwd_p16_c64": 1.05,
     "bench_circuit_forward_8q_5layers_c64": 1.05,
 }
-
-# Floors for the ThreadedBackend: each ``<name>_threaded`` benchmark is
-# measured against its NumpyBackend twin ``<name>``.  The headline gate is
-# the stacked p=16/batch=32 training pass, whose (512, 64) row dimension
-# shards across the worker pool — row sharding must beat the
-# single-threaded kernels outright (> 1.0x) wherever there is parallel
-# hardware.  These floors are enforced only when the threaded backend's
-# pool resolves to more than one worker: on a single-core runner the
-# backend deliberately degrades to the plain NumPy kernels (sharding can
-# only add overhead there), so the ratio hovers at ~1.0 plus noise and a
-# floor would gate on machine noise rather than on a regression.  The
-# ratio and the worker count are recorded in BENCH_kernels.json either
-# way.
-THREADED_SPEEDUP_FLOORS = {
-    "bench_patched_fwd_bwd_p16_threaded": 1.0,
-}
-
-
-def threaded_worker_count() -> int:
-    """Workers the registered ``threaded`` backend resolves to."""
-    from repro.quantum.backends import resolve_backend
-
-    return resolve_backend("threaded").max_workers
-
 
 def git_commit() -> str | None:
     """The commit the benchmarked tree is based on, or None outside git.
@@ -228,18 +203,6 @@ def c64_speedups(results: dict) -> dict:
     )
 
 
-def threaded_speedups(results: dict) -> dict:
-    """NumpyBackend-time / ThreadedBackend-time for every
-    ``<name>_threaded`` / ``<name>`` pair — the measured win of sharding
-    the stacked row dimension across the worker pool."""
-    return _ratio_pairs(
-        results,
-        lambda name: (name, name[: -len(_THREADED_SUFFIX)])
-        if name.endswith(_THREADED_SUFFIX)
-        else None,
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", help="substring filter on benchmark names")
@@ -270,18 +233,14 @@ def main(argv=None) -> int:
 
     measured = speedups(results)
     measured_c64 = c64_speedups(results)
-    measured_threaded = threaded_speedups(results)
-    workers = threaded_worker_count()
     payload = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "git_commit": git_commit(),
         **machine_stamp(),
         "rounds": args.rounds,
-        "threaded_workers": workers,
         "benchmarks": results,
         "speedup_vs_naive": measured,
         "speedup_c64_vs_c128": measured_c64,
-        "speedup_threaded_vs_numpy": measured_threaded,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}", file=sys.stderr)
@@ -291,14 +250,6 @@ def main(argv=None) -> int:
             (SPEEDUP_FLOORS, measured),
             (C64_SPEEDUP_FLOORS, measured_c64),
         ]
-        if workers > 1:
-            gates.append((THREADED_SPEEDUP_FLOORS, measured_threaded))
-        else:
-            print(
-                "warning: threaded backend resolved to a single worker "
-                "(serial hardware); ThreadedBackend floors recorded but "
-                "not enforced", file=sys.stderr,
-            )
         failures = []
         checked = []
         for floors, ratios in gates:

@@ -10,10 +10,9 @@ Subcommands::
     python -m repro.cli draw    --model f-bq-ae
 
 ``train`` checkpoints the model with enough metadata for ``sample`` and
-``serve`` to rebuild the same architecture *at the same precision and
-kernel backend* (``--precision`` / ``--backend`` are recorded in the
-checkpoint); ``sample`` decodes prior noise into molecules and prints
-SMILES with QED / logP / SA scores.
+``serve`` to rebuild the same architecture *at the same precision*
+(``--precision`` is recorded in the checkpoint); ``sample`` decodes prior
+noise into molecules and prints SMILES with QED / logP / SA scores.
 
 ``serve`` stands up the micro-batching generation service
 (:mod:`repro.serving`) on a JSON-lines TCP socket.  Request lifecycle:
@@ -36,6 +35,7 @@ answers ``request_timeout`` — callers never hang.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -61,7 +61,6 @@ from .nn.serialization import (
     resolve_checkpoint_path,
     save_module,
 )
-from .quantum.backends import available_backends, resolve_backend, use_backend
 from .training import TrainConfig, Trainer
 
 __all__ = ["main"]
@@ -103,10 +102,13 @@ def _positive_int(value: str) -> int:
 
 
 def _non_negative_int(value: str) -> int:
-    """argparse type for ``--seed``.
+    """argparse type for ``--seed``, ``--layers`` and ``--max-requests``.
 
-    numpy's ``default_rng`` rejects negative seeds, which used to surface
-    as a traceback from deep inside dataset generation.
+    numpy's ``default_rng`` rejects negative seeds and the circuit
+    builders reject negative layer counts, both deep inside the run;
+    rejecting them at parse time names the flag instead of printing a
+    traceback.  0 keeps its meaning for the flags that give it one (the
+    architecture's default depth, serve forever).
     """
     try:
         number = int(value)
@@ -122,16 +124,32 @@ def _non_negative_int(value: str) -> int:
 
 
 def _positive_float(value: str) -> float:
-    """argparse type for strictly positive float flags."""
+    """argparse type for strictly positive, finite float flags.
+
+    ``nan`` and ``inf`` parse as floats but break the serving timers they
+    feed (a ``nan`` timeout fails every request, an ``inf`` one overflows
+    the wait), so they are rejected here.
+    """
     try:
         number = float(value)
     except ValueError:
+        number = math.nan
+    if not (math.isfinite(number) and number > 0):
         raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {value!r}"
-        ) from None
-    if number <= 0:
+            f"expected a positive finite number, got {value!r}"
+        )
+    return number
+
+
+def _port(value: str) -> int:
+    """argparse type for a TCP port: an integer in 0-65535 (0 = any)."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
         raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {value!r}"
+            f"expected a port number in 0-65535, got {value!r}"
         )
     return number
 
@@ -156,7 +174,7 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         quantum_lr=args.quantum_lr, classical_lr=args.classical_lr,
-        seed=args.seed, precision=args.precision, backend=args.backend,
+        seed=args.seed, precision=args.precision,
     )
     trainer = Trainer(model, config)
     history = trainer.fit(train, test_data=test)
@@ -174,11 +192,9 @@ def _cmd_train(args) -> int:
             "latent_dim": args.latent,
             "dataset": args.dataset,
             "seed": args.seed,
-            # Execution-semantics fields: sample/serve rebuild the model
-            # with the *recorded* dtype and kernel backend, so a float32
-            # training run round-trips as a float32 module.
+            # sample/serve rebuild the model with the *recorded* dtype, so
+            # a float32 training run round-trips as a float32 module.
             "precision": resolve_precision(args.precision).name,
-            "backend": args.backend,
             "final_train_loss": history.final_train_loss,
         }
         path = save_module(model, args.out, metadata=metadata)
@@ -196,7 +212,7 @@ def _resolve_checkpoint(argument: str):
 
 def _cmd_sample(args) -> int:
     # Rebuild the architecture from checkpoint metadata — at the recorded
-    # precision — then load weights and scope the recorded backend.
+    # precision — then load weights.
     path = _resolve_checkpoint(args.checkpoint)
     meta = read_checkpoint_metadata(path)
     model = build_from_metadata(meta)
@@ -209,10 +225,7 @@ def _cmd_sample(args) -> int:
 
     # Decode, repair, and score the whole sample set on the batched
     # substrate (values identical to the per-molecule scorers).
-    backend = meta.get("backend")
-    with use_backend(resolve_backend(backend)):
-        batch = sample_batch(model, args.count,
-                             np.random.default_rng(args.seed))
+    batch = sample_batch(model, args.count, np.random.default_rng(args.seed))
     kept = [m for m in sanitize_batch(batch) if m.num_atoms]
     if not kept:
         # Nothing decoded to a usable molecule: skip the scorers and the
@@ -315,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     train.add_argument("--quantum-lr", type=float, default=0.03)
     train.add_argument("--classical-lr", type=float, default=0.01)
     train.add_argument("--patches", type=_positive_int, default=4)
-    train.add_argument("--layers", type=int, default=0,
+    train.add_argument("--layers", type=_non_negative_int, default=0,
                        help="entangling layers (0 = architecture default)")
     train.add_argument("--latent", type=_positive_int, default=6)
     train.add_argument("--precision",
@@ -323,10 +336,6 @@ def main(argv: list[str] | None = None) -> int:
                        default=None,
                        help="model + training precision policy (recorded "
                             "in the checkpoint; default float64)")
-    train.add_argument("--backend", choices=sorted(available_backends()),
-                       default=None,
-                       help="kernel backend for the run (recorded in the "
-                            "checkpoint; default numpy)")
     train.add_argument("--normalize", action="store_true",
                        help="L1-normalize features (F-BQ models need this)")
     train.add_argument("--warm-start-bias", action="store_true")
@@ -345,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument("--checkpoint", required=True)
     serve.add_argument("--host", type=str, default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7411,
+    serve.add_argument("--port", type=_port, default=7411,
                        help="TCP port (0 = let the OS pick)")
     serve.add_argument("--flush-ms", type=_positive_float, default=5.0,
                        help="micro-batch flush window in milliseconds")
@@ -355,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="pending-request bound (backpressure)")
     serve.add_argument("--timeout", type=_positive_float, default=30.0,
                        help="per-request timeout in seconds")
-    serve.add_argument("--max-requests", type=int, default=0,
+    serve.add_argument("--max-requests", type=_non_negative_int, default=0,
                        help="shut down after N requests (0 = serve forever)")
     serve.add_argument("--ready-file", type=str, default="",
                        help="write 'host port' here once listening")
@@ -370,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     drawcmd = sub.add_parser("draw", help="ASCII-draw a model's encoder circuit")
     drawcmd.add_argument("--model", choices=MODEL_CHOICES, default="f-bq-ae")
     drawcmd.add_argument("--patches", type=_positive_int, default=4)
-    drawcmd.add_argument("--layers", type=int, default=0)
+    drawcmd.add_argument("--layers", type=_non_negative_int, default=0)
     drawcmd.add_argument("--columns", type=_positive_int, default=12)
     drawcmd.add_argument("--seed", type=_non_negative_int, default=0)
     drawcmd.set_defaults(func=_cmd_draw)

@@ -103,22 +103,12 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def iter_index_batches(self) -> Iterator[np.ndarray]:
-        """Yield the *row indices* of each batch, in iteration order.
-
-        One permutation is drawn per call (exactly as ``__iter__``
-        consumes the seeded stream), so driving an epoch through indices
-        selects bit-for-bit the same rows as iterating feature batches —
-        this is the seam the training strategies use.
-        """
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Yield feature batches; one permutation is drawn per epoch."""
         n = len(self.dataset)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
         for start in range(0, n, self.batch_size):
             batch = order[start : start + self.batch_size]
             if self.drop_last and batch.size < self.batch_size:
                 return
-            yield batch
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for indices in self.iter_index_batches():
-            yield self.dataset.features[indices]
+            yield self.dataset.features[batch]

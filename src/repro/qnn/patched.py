@@ -43,7 +43,6 @@ from ..nn.modules import Module, ModuleList
 from ..nn.precision import resolve_precision
 from ..nn.tensor import Tensor, is_grad_enabled, tape_record
 from ..quantum.autodiff import backward_stacked, execute_stacked
-from ..quantum.backends import resolve_backend
 from ..quantum.circuit import Circuit
 from ..quantum.engine import circuit_signature, stacked_plan
 from ..quantum.shift import _SHIFT, require_two_term
@@ -117,7 +116,7 @@ def _stacked_vjp_graph(g, operands, params, argnums):
     require_two_term(template)
     weights, x = operands[0], operands[1]
     p, per_out, batch = params["n_patches"], params["per_out"], params["batch"]
-    precision, backend = params["precision"], params["backend"]
+    precision = params["precision"]
     g3 = g.reshape(batch, p, per_out).transpose((1, 0, 2))
     n = template.n_weights
     cols = []
@@ -125,12 +124,10 @@ def _stacked_vjp_graph(g, operands, params, argnums):
         shift = np.zeros(n, dtype=weights.dtype)
         shift[index] = _SHIFT
         plus = quantum_execute_stacked(
-            template, weights + shift, x, p, precision=precision,
-            backend=backend,
+            template, weights + shift, x, p, precision=precision
         )
         minus = quantum_execute_stacked(
-            template, weights - shift, x, p, precision=precision,
-            backend=backend,
+            template, weights - shift, x, p, precision=precision
         )
         jac = ((plus - minus) * 0.5).reshape(batch, p, per_out).transpose(
             (1, 0, 2)
@@ -149,7 +146,6 @@ def quantum_execute_stacked(
     x: Tensor,
     n_patches: int,
     precision=None,
-    backend=None,
 ) -> Tensor:
     """Run ``p`` independent patch circuits as one recorded tape primitive.
 
@@ -168,8 +164,7 @@ def quantum_execute_stacked(
     )
     track = is_grad_enabled() and (weights.requires_grad or x.requires_grad)
     stacked_out, cache = execute_stacked(
-        template, inputs, weights.data, want_cache=track,
-        dtype=precision, backend=backend,
+        template, inputs, weights.data, want_cache=track, dtype=precision
     )
     per_out = stacked_out.shape[2]
     data = np.ascontiguousarray(stacked_out.transpose(1, 0, 2)).reshape(
@@ -189,7 +184,6 @@ def quantum_execute_stacked(
             "batch": batch,
             "input_dim": x.shape[1],
             "precision": precision,
-            "backend": backend,
         },
     )
 
@@ -216,11 +210,6 @@ class PatchedQuantumLayer(Module):
         Precision spec resolved at construction and shared by every patch:
         weights live in its real dtype, the stacked pass runs at its paired
         complex dtype.  None follows the active precision policy.
-    backend:
-        Kernel backend spec shared by every patch and by the stacked pass.
-        An explicit backend pins this layer to it; None follows the active
-        backend policy at each forward (so a ``use_backend`` scope around
-        training takes effect without rebuilding the layer).
     """
 
     def __init__(
@@ -231,7 +220,6 @@ class PatchedQuantumLayer(Module):
         init_scale: float = np.pi,
         stacked: bool = True,
         dtype=None,
-        backend=None,
     ):
         super().__init__()
         if n_patches < 1:
@@ -239,7 +227,6 @@ class PatchedQuantumLayer(Module):
         rng = fresh_rng(rng)
         self.n_patches = n_patches
         self.precision = resolve_precision(dtype)
-        self.backend = None if backend is None else resolve_backend(backend)
         # Each QuantumLayer compiles its circuit at construction; structurally
         # identical patch circuits (the common case: one factory with
         # per-patch weights) dedupe to a single shared plan in the engine's
@@ -250,7 +237,6 @@ class PatchedQuantumLayer(Module):
                 rng=rng,
                 init_scale=init_scale,
                 dtype=self.precision,
-                backend=self.backend,
             )
             for i in range(n_patches)
         )
@@ -301,7 +287,6 @@ class PatchedQuantumLayer(Module):
             x,
             self.n_patches,
             precision=self.precision,
-            backend=self.backend,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics

@@ -35,7 +35,6 @@ from ..nn.precision import resolve_precision
 from ..nn.tensor import Tensor, is_grad_enabled, tape_record
 from ..quantum.autodiff import backward as q_backward
 from ..quantum.autodiff import execute as q_execute
-from ..quantum.backends import resolve_backend
 from ..quantum.circuit import Circuit
 from ..quantum.engine import compiled_plan
 from ..quantum.shift import _SHIFT, require_two_term
@@ -82,18 +81,14 @@ def _quantum_vjp_graph(g, operands, params, argnums):
     require_two_term(circuit)
     weights = operands[0]
     x = operands[1] if len(operands) > 1 else None
-    precision, backend = params["precision"], params["backend"]
+    precision = params["precision"]
     n = circuit.n_weights
     cols = []
     for index in range(n):
         shift = np.zeros(n, dtype=weights.dtype)
         shift[index] = _SHIFT
-        plus = quantum_execute(
-            circuit, weights + shift, x, precision=precision, backend=backend
-        )
-        minus = quantum_execute(
-            circuit, weights - shift, x, precision=precision, backend=backend
-        )
+        plus = quantum_execute(circuit, weights + shift, x, precision=precision)
+        minus = quantum_execute(circuit, weights - shift, x, precision=precision)
         cols.append((g * ((plus - minus) * 0.5)).sum())
     return [Tensor.stack(cols)]
 
@@ -107,7 +102,6 @@ def quantum_execute(
     weights: Tensor,
     x: Tensor | None = None,
     precision=None,
-    backend=None,
 ) -> Tensor:
     """Run ``circuit`` as a recorded tape primitive.
 
@@ -129,7 +123,6 @@ def quantum_execute(
         weights.data,
         want_cache=track,
         dtype=precision,
-        backend=backend,
     )
     if not track:
         return Tensor(outputs)
@@ -138,12 +131,7 @@ def quantum_execute(
         _QEXEC,
         outputs,
         args,
-        {
-            "cache": cache,
-            "circuit": circuit,
-            "precision": precision,
-            "backend": backend,
-        },
+        {"cache": cache, "circuit": circuit, "precision": precision},
     )
 
 
@@ -173,13 +161,6 @@ class QuantumLayer(Module):
         resolved at construction: the rotation weights live in its real
         dtype and every execution runs at its paired complex dtype.  None
         follows the active precision policy (float64 by default).
-    backend:
-        Kernel backend spec (:func:`repro.quantum.backends
-        .resolve_backend`).  An explicit backend (``"threaded"``, or an
-        instance) pins every execution of this layer to it; None — the
-        default — follows the *active* backend policy at each forward, so
-        ``with use_backend("threaded"):`` around training accelerates an
-        already-built layer.
     """
 
     def __init__(
@@ -189,7 +170,6 @@ class QuantumLayer(Module):
         init_scale: float = np.pi,
         input_prefix: bool = False,
         dtype=None,
-        backend=None,
     ):
         super().__init__()
         if circuit.measurement is None:
@@ -197,9 +177,6 @@ class QuantumLayer(Module):
         self.circuit = circuit
         self.input_prefix = bool(input_prefix)
         self.precision = resolve_precision(dtype)
-        # None stays None: the layer then follows the active backend policy
-        # at call time instead of freezing it at construction.
-        self.backend = None if backend is None else resolve_backend(backend)
         # Pay plan compilation at construction; every forward/backward then
         # binds and runs the cached program.
         compiled_plan(circuit)
@@ -235,11 +212,7 @@ class QuantumLayer(Module):
                     f"feature(s), got {x.shape[-1]}{hint}"
                 )
         return quantum_execute(
-            self.circuit,
-            self.weights,
-            x,
-            precision=self.precision,
-            backend=self.backend,
+            self.circuit, self.weights, x, precision=self.precision
         )
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics

@@ -26,12 +26,13 @@ Execution is a compile/bind/run pipeline (:mod:`repro.quantum.engine`):
    vectors, and — when a backward pass will follow — effective generators
    ``S G S^dagger`` are prepared so adjoint gradients stay exact through the
    fusion.
-3. **Run** — kernels execute in order: dense single-qubit matrices via a
-   fixed ``(batch, left, 2, right)`` reshape, diagonal gates (RZ/CZ/CRZ/Z) as
-   elementwise phase multiplies over precomputed basis-index masks, and
-   permutation gates (CNOT/X/SWAP) as precomputed index gathers.  The adjoint
-   :func:`backward` walks the same bound program in reverse with daggered
-   kernels.
+3. **Run** — kernels execute in order: dense blocks as batched GEMMs picked
+   by wire geometry (:func:`~repro.quantum.engine.apply_dense`), diagonal
+   gates (RZ/CZ/CRZ/Z) as elementwise phase multiplies over precomputed
+   basis-index masks, and permutation gates (CNOT/X/SWAP) as precomputed
+   index gathers.  The adjoint :func:`backward` walks the same bound program
+   in reverse with daggered kernels.  There is one kernel set, plain NumPy:
+   the only parallelism inside a pass is the BLAS library's own threading.
 
 Kernel specialization rules: a lone RZ lowers to a diagonal phase multiply, a
 lone Z/CZ to an index-mask sign flip, a lone X/CNOT/SWAP to an index gather,
@@ -40,14 +41,6 @@ including every fused run of length > 1 — to the dense single-qubit kernel.
 The pre-compilation op-by-op interpreter survives as ``naive_execute`` /
 ``naive_backward``, the reference implementation that the compiled engine is
 property-tested against and benchmarked from.
-
-Kernel *implementations* are pluggable (:mod:`repro.quantum.backends`):
-plans are backend-agnostic, and every run binds the active
-:class:`~repro.quantum.backends.KernelBackend`'s kernels — the
-single-threaded NumPy set by default, or the row-sharding
-:class:`~repro.quantum.backends.ThreadedBackend` selected per call
-(``backend="threaded"``), per scope (:func:`use_backend`), or process-wide
-(``REPRO_BACKEND``).
 
 ``p`` structurally identical circuit instances (the patched encoder's
 sub-circuits) execute as one stacked ``(p * batch, 2**n)`` pass through a
@@ -61,17 +54,6 @@ block — returns every instance's gradients.
 """
 
 from . import gates
-from .backends import (
-    KernelBackend,
-    NumpyBackend,
-    ThreadedBackend,
-    available_backends,
-    default_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from .autodiff import (
     ExecutionCache,
     StackedExecutionCache,
@@ -137,15 +119,6 @@ __all__ = [
     "compile_stacked",
     "compiled_plan",
     "stacked_plan",
-    "KernelBackend",
-    "NumpyBackend",
-    "ThreadedBackend",
-    "available_backends",
-    "default_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
     "parameter_shift_gradients",
     "parameter_shift_jacobian",
     "apply_gate",

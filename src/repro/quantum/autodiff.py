@@ -45,7 +45,6 @@ import numpy as np
 
 from ..nn.precision import Precision, real_dtype_for, resolve_precision
 from . import gates as G
-from .backends import KernelBackend, resolve_backend
 from .circuit import Circuit, Operation
 from .engine import (
     CompiledPlan,
@@ -86,9 +85,7 @@ class ExecutionCache:
     per-instruction post-states the plan recorded by reference — the ket
     side of the adjoint walk.  ``embedded``/``norms``/``zero_rows`` carry
     the amplitude-embedded initial state so the backward pass never
-    recomputes the embedding.  ``backend`` is the kernel set the forward
-    pass ran on; the backward walk reuses it, so one execution is served by
-    one backend end to end.
+    recomputes the embedding.
     """
 
     circuit: Circuit
@@ -103,7 +100,6 @@ class ExecutionCache:
     embedded: np.ndarray | None = None  # (batch, 2**n) amplitude-embedded state
     norms: np.ndarray | None = None  # (batch,) embedding norms
     zero_rows: np.ndarray | None = None  # (batch,) bool, zero-fallback rows
-    backend: KernelBackend | None = None  # kernel set of the forward pass
 
 
 @dataclass
@@ -127,7 +123,6 @@ class StackedExecutionCache:
     embedded: np.ndarray | None = None  # (p * batch, 2**n)
     norms: np.ndarray | None = None  # (p * batch,)
     zero_rows: np.ndarray | None = None  # (p * batch,) bool
-    backend: KernelBackend | None = None  # kernel set of the forward pass
 
 
 def prepare_amplitude_state(
@@ -135,7 +130,6 @@ def prepare_amplitude_state(
     n_wires: int,
     zero_fallback: bool = False,
     dtype=None,
-    backend=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-embed a ``(batch, d)`` feature block into ``(batch, 2**n)``.
 
@@ -144,12 +138,10 @@ def prepare_amplitude_state(
     Returns the complex state and the per-sample norms (needed for input
     gradients).  All-zero samples raise unless ``zero_fallback`` is set, in
     which case they embed as |0...0> with zero gradient.  ``dtype`` selects
-    the precision pair and ``backend`` the kernel set (None follows the
-    active policies).
+    the precision pair (None follows the active policy).
     """
     state, norms, _zero_rows = _prepare_amplitude(
-        features, n_wires, zero_fallback, resolve_precision(dtype),
-        resolve_backend(backend),
+        features, n_wires, zero_fallback, resolve_precision(dtype)
     )
     return state, norms
 
@@ -172,25 +164,15 @@ def _prepare_amplitude(
     n_wires: int,
     zero_fallback: bool,
     prec: Precision | None = None,
-    backend: KernelBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Like :func:`prepare_amplitude_state` but also returns the zero mask.
-
-    ``backend=None`` keeps the plain NumPy norm — the naive interpreter's
-    embedding must stay a backend-free reference, exactly like
-    :func:`_measure` (callers that want backend kernels resolve first).
-    """
+    """Like :func:`prepare_amplitude_state` but also returns the zero mask."""
     if prec is None:
         prec = resolve_precision(None)
     batch, d = features.shape
     dim = 2**n_wires
     padded = np.zeros((batch, dim), dtype=prec.real)
     padded[:, :d] = features
-    norms = (
-        np.linalg.norm(padded, axis=1)
-        if backend is None
-        else backend.row_norms(padded)
-    )
+    norms = np.linalg.norm(padded, axis=1)
     eps = _norm_eps(prec.real)
     zero_rows = norms < eps
     if np.any(zero_rows):
@@ -230,7 +212,6 @@ def _validate_and_prepare(
     inputs: np.ndarray | None,
     weights: np.ndarray,
     prec: Precision,
-    backend: KernelBackend | None = None,
 ):
     """Shared entry checks; returns (inputs, weights, batch, state, embedding).
 
@@ -263,8 +244,7 @@ def _validate_and_prepare(
     if circuit.state_prep is not None:
         __, n_features, zero_fallback = circuit.state_prep
         state, norms, zero_rows = _prepare_amplitude(
-            inputs[:, :n_features], circuit.n_wires, zero_fallback, prec,
-            backend,
+            inputs[:, :n_features], circuit.n_wires, zero_fallback, prec
         )
         embedding = (state, norms, zero_rows)
     else:
@@ -273,23 +253,12 @@ def _validate_and_prepare(
     return inputs, weights, batch, state, embedding
 
 
-def _measure(
-    circuit: Circuit, state: np.ndarray, backend: KernelBackend | None = None
-) -> np.ndarray:
-    """Measure through ``backend``'s contraction kernels.
-
-    ``backend=None`` keeps the plain :mod:`repro.quantum.state` helpers —
-    the naive interpreter stays a backend-free reference implementation.
-    """
+def _measure(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """Pauli-Z expectations or basis probabilities, as the circuit asks."""
     kind, wires = circuit.measurement
-    if backend is None:
-        if kind == "expval":
-            return expval_z(state, wires)
-        return probabilities(state)
     if kind == "expval":
-        signs = z_signs(num_wires(state), dtype=real_dtype_for(state.dtype))
-        return backend.expvals(state, signs[list(wires)])
-    return backend.probabilities(state)
+        return expval_z(state, wires)
+    return probabilities(state)
 
 
 def execute(
@@ -298,7 +267,6 @@ def execute(
     weights: np.ndarray,
     want_cache: bool = True,
     dtype=None,
-    backend=None,
 ) -> tuple[np.ndarray, ExecutionCache | None]:
     """Run the circuit on a batch via its compiled plan.
 
@@ -316,11 +284,6 @@ def execute(
         Precision spec (:func:`repro.nn.precision.resolve_precision`):
         None follows the active policy (float64/complex128 by default);
         ``"float32"`` runs the whole pass at complex64.
-    backend:
-        Kernel backend spec (:func:`repro.quantum.backends
-        .resolve_backend`): None follows the active backend policy;
-        ``"threaded"`` shards the row dimension across a worker pool.
-        The plan is backend-agnostic — only the kernels change.
 
     Returns
     -------
@@ -331,9 +294,8 @@ def execute(
         Pass to :func:`backward`, or None when ``want_cache=False``.
     """
     prec = resolve_precision(dtype)
-    backend = resolve_backend(backend)
     inputs, weights, batch, state, embedding = _validate_and_prepare(
-        circuit, inputs, weights, prec, backend
+        circuit, inputs, weights, prec
     )
     embedded, norms, zero_rows = embedding
     plan = compiled_plan(circuit)
@@ -341,8 +303,8 @@ def execute(
     # Plan instructions are pure, so the embedded state survives the run
     # untouched and post-block states can be checkpointed by reference.
     record: list | None = [] if want_cache else None
-    state = plan.run(state, bound, record=record, backend=backend)
-    outputs = _measure(circuit, state, backend)
+    state = plan.run(state, bound, record=record)
+    outputs = _measure(circuit, state)
     if not want_cache:
         return outputs, None
     cache = ExecutionCache(
@@ -357,7 +319,6 @@ def execute(
         embedded=embedded,
         norms=norms,
         zero_rows=zero_rows,
-        backend=backend,
     )
     return outputs, cache
 
@@ -368,7 +329,6 @@ def execute_stacked(
     weights: np.ndarray,
     want_cache: bool = True,
     dtype=None,
-    backend=None,
 ) -> tuple[np.ndarray, StackedExecutionCache | None]:
     """Run ``p`` weight-bindings of one circuit template as a single pass.
 
@@ -394,11 +354,6 @@ def execute_stacked(
         None follows the active policy; ``"float32"`` runs the stacked
         pass at complex64 — halving the bytes every kernel moves, which is
         the lever on this bandwidth-bound path.
-    backend:
-        Kernel backend spec (:func:`repro.quantum.backends
-        .resolve_backend`): None follows the active backend policy;
-        ``"threaded"`` shards the ``p * batch`` row dimension across a
-        worker pool — the other lever on the bandwidth-bound stacked path.
 
     Returns
     -------
@@ -408,7 +363,6 @@ def execute_stacked(
         Pass to :func:`backward_stacked`, or None when ``want_cache=False``.
     """
     prec = resolve_precision(dtype)
-    backend = resolve_backend(backend)
     if circuit.measurement is None:
         raise ValueError("circuit has no measurement; call measure_* first")
     weights = np.asarray(weights, dtype=prec.real)
@@ -439,8 +393,7 @@ def execute_stacked(
     if circuit.state_prep is not None:
         __, n_features, zero_fallback = circuit.state_prep
         state, norms, zero_rows = _prepare_amplitude(
-            flat_inputs[:, :n_features], circuit.n_wires, zero_fallback, prec,
-            backend,
+            flat_inputs[:, :n_features], circuit.n_wires, zero_fallback, prec
         )
         embedded = state
     else:
@@ -454,8 +407,8 @@ def execute_stacked(
     # Stacked applies are pure, so the embedded state survives the run
     # untouched and post-block states can be checkpointed by reference.
     record: list | None = [] if want_cache else None
-    state = plan.run(state, bound, p, batch, record=record, backend=backend)
-    outputs = _measure(circuit, state, backend).reshape(p, batch, -1)
+    state = plan.run(state, bound, p, batch, record=record)
+    outputs = _measure(circuit, state).reshape(p, batch, -1)
     if not want_cache:
         return outputs, None
     cache = StackedExecutionCache(
@@ -470,7 +423,6 @@ def execute_stacked(
         embedded=embedded,
         norms=norms,
         zero_rows=zero_rows,
-        backend=backend,
     )
     return outputs, cache
 
@@ -527,7 +479,6 @@ def backward_stacked(
         grad_inputs,
         cache.final_state.shape,
         dtype=cache.final_state.dtype,
-        backend=cache.backend,
     )
     lam = _adjoint_walk(cache.plan, cache.bound, cache.checkpoints, lam, ctx)
     if want_inputs:
@@ -700,7 +651,6 @@ def backward(
         grad_inputs,
         cache.final_state.shape,
         dtype=cache.final_state.dtype,
-        backend=cache.backend,
     )
     lam = _adjoint_walk(cache.plan, cache.bound, cache.checkpoints, lam, ctx)
     _amplitude_input_grads(cache, lam, grad_inputs)

@@ -29,13 +29,10 @@ The substrate gives both views the same machinery:
   precomputed basis-index masks by phases; permutation gates (CNOT, X,
   SWAP) are index gathers; dense blocks dispatch by wire geometry to
   batched GEMMs, with short strides (``right`` in {2, 4, 8}) lowered onto
-  ``kron(mat, I_right)`` GEMMs over the flattened tail.  The kernel
-  *implementations* live behind the :class:`~repro.quantum.backends
-  .KernelBackend` vocabulary: plans are backend-agnostic, and ``run`` /
-  ``backward_step`` bind the active backend's kernels at run time — the
-  single-threaded NumPy set by default, the row-sharding
-  :class:`~repro.quantum.backends.ThreadedBackend` (or any registered
-  alternative) on request.
+  ``kron(mat, I_right)`` GEMMs over the flattened tail
+  (:func:`apply_dense`, :func:`transition_matrix`).  Each instruction's
+  ``apply`` is its NumPy kernel; ``backward_step`` runs the same kernel
+  with the inverse gate (daggered matrix or phases, inverse gather).
 * **Checkpointed, transition-matrix backward.**  Instructions are *pure*
   (never mutate their input state), so the forward pass records every
   post-block state by reference; the adjoint backward walks only the
@@ -62,7 +59,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates as G
-from .backends import resolve_backend
 from .circuit import Circuit, Operation
 
 __all__ = [
@@ -123,27 +119,152 @@ def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
+# Wire-axis strides below this run through the kron-GEMM kernel; at or
+# above it the batched (d, d) @ (d, right) matmul wins (the kron padding's
+# FLOP overhead outgrows its layout win).
+_LONG_STRIDE = 16
+
+
+def _kron_eye(mat: np.ndarray, right: int) -> np.ndarray:
+    """``kron(mat, I_right)``: ``(..., d, d)`` -> ``(..., d*right, d*right)``.
+
+    Lets a block acting on a non-innermost wire axis run as one GEMM over
+    the flattened ``(d, right)`` tail (see ``apply_dense``): the identity
+    factor absorbs the ``right`` stride.  The ``right``-fold FLOP overhead
+    of the block-sparse zeros is far cheaper than the strided broadcast
+    arithmetic it replaces for the small ``right`` this is used at.
+    """
+    d = mat.shape[-1]
+    out = np.zeros(mat.shape[:-2] + (d, right, d, right), dtype=mat.dtype)
+    idx = np.arange(right)
+    # out[..., a, r, c, r] = mat[..., a, c]; the advanced indices land in
+    # front, so the target view is (right, ..., d, d) and mat broadcasts.
+    out[..., :, idx, :, idx] = mat
+    return out.reshape(mat.shape[:-2] + (d * right, d * right))
+
+
+def apply_dense(state, mat, p, batch, left, d, right, per_patch, out=None):
+    """Apply a ``d x d`` block to the stacked ``(p * batch, 2**n)`` state.
+
+    ``mat`` is ``(p, d, d)`` when ``per_patch`` (broadcast along the
+    outermost axis of the ``(p, batch, ...)`` view) or ``(p * batch, d,
+    d)`` otherwise.  Three kernels, picked by geometry: a wire axis that
+    sits innermost (``right == 1``) dispatches to one batched GEMM per
+    matrix, long slices (``right >= 16``) to batched ``(d, d) @ (d,
+    right)`` matmuls, and the short strides in between (``right`` in {2,
+    4, 8} — wire axes are powers of two) to a GEMM over the flattened
+    ``(d * right)`` tail against ``kron(mat, I_right)``; the identity
+    padding costs ``right``-fold FLOPs on a tiny matrix but replaces
+    strided broadcast arithmetic that ran up to 10x slower and starved
+    SIMD at complex64.
+
+    ``out`` must be C-contiguous (the reshapes below must be views — a
+    silently-copying reshape would discard the writes), which the
+    explicit ``np.empty`` here guarantees for the allocating path.
+    """
+    if out is None:
+        out = np.empty(state.shape, dtype=state.dtype)
+    if right == 1:
+        # Wire axis innermost: (..., K, d) @ (d, d)^T is GEMM-shaped.
+        if per_patch:
+            psi = state.reshape(p, batch * left, d)
+            res = out.reshape(p, batch * left, d)
+        else:
+            psi = state.reshape(p * batch, left, d)
+            res = out.reshape(p * batch, left, d)
+        np.matmul(psi, mat.swapaxes(-1, -2), out=res)
+        return out
+    if right >= _LONG_STRIDE:
+        # Long slices: batched (d, d) @ (d, right) GEMMs beat
+        # broadcasting.
+        if per_patch:
+            psi = state.reshape(p, batch, left, d, right)
+            res = out.reshape(p, batch, left, d, right)
+            np.matmul(mat[:, None, None], psi, out=res)
+        else:
+            psi = state.reshape(p * batch, left, d, right)
+            res = out.reshape(p * batch, left, d, right)
+            np.matmul(mat[:, None], psi, out=res)
+        return out
+    # Short strides: flatten the (d, right) tail and GEMM against
+    # kron(mat, I_right), exactly as in the right == 1 kernel.
+    dr = d * right
+    big = _kron_eye(mat, right)
+    if per_patch:
+        psi = state.reshape(p, batch * left, dr)
+        res = out.reshape(p, batch * left, dr)
+    else:
+        psi = state.reshape(p * batch, left, dr)
+        res = out.reshape(p * batch, left, dr)
+    np.matmul(psi, big.swapaxes(-1, -2), out=res)
+    return out
+
+
+def transition_matrix(psi, lam, p, batch, left, d, right, per_patch):
+    """``M[a, c] = sum conj(lam)[..., a, ...] psi[..., c, ...]``.
+
+    Reduced over every axis except the block's wire axis — and, when
+    ``per_patch``, over the batch too: returns ``(p, d, d)`` when
+    ``per_patch``, ``(p * batch, d, d)`` otherwise.  When the wire axis
+    is innermost (``right == 1``) the views are GEMM-ready and a batched
+    matmul does the whole contraction.  Short strides (``right`` in {2,
+    4, 8}) contract the flattened ``(d * right)`` tail with the same GEMM
+    into a ``(d*right, d*right)`` matrix whose paired-``right`` diagonal
+    is then traced down to ``(d, d)`` — the GEMM does the heavy reduction
+    and the trace touches only a tiny array.  Long slices (``right >=
+    16``) keep the in-place einsum, where the kron padding would outgrow
+    its win.
+    """
+    if right == 1:
+        if per_patch:
+            psi_v = psi.reshape(p, batch * left, d)
+            lam_v = lam.reshape(p, batch * left, d)
+        else:
+            psi_v = psi.reshape(p * batch, left, d)
+            lam_v = lam.reshape(p * batch, left, d)
+        return np.matmul(np.conj(lam_v.swapaxes(-1, -2)), psi_v)
+    if right < _LONG_STRIDE:
+        dr = d * right
+        if per_patch:
+            psi_v = psi.reshape(p, batch * left, dr)
+            lam_v = lam.reshape(p, batch * left, dr)
+        else:
+            psi_v = psi.reshape(p * batch, left, dr)
+            lam_v = lam.reshape(p * batch, left, dr)
+        full = np.matmul(np.conj(lam_v.swapaxes(-1, -2)), psi_v)
+        blocks = full.reshape(full.shape[0], d, right, d, right)
+        return np.einsum("...arcr->...ac", blocks)
+    lam_c = np.conj(lam)
+    if per_patch:
+        return np.einsum(
+            "pblar,pblcr->pac",
+            lam_c.reshape(p, batch, left, d, right),
+            psi.reshape(p, batch, left, d, right),
+        )
+    return np.einsum(
+        "blar,blcr->bac",
+        lam_c.reshape(p * batch, left, d, right),
+        psi.reshape(p * batch, left, d, right),
+    )
+
+
 class StackedGradContext:
     """Accumulators and scratch threaded through an adjoint walk.
 
     The cotangent ping-pongs between two preallocated buffers: each
     backward step reads the current ``lam`` array and writes its successor
     into the buffer ``lam`` does not occupy, so the walk allocates no
-    full-state arrays after setup.  ``backend`` is the kernel set every
-    backward step dispatches through — normally the backend the forward
-    pass ran on, so one execution uses one kernel set end to end.
+    full-state arrays after setup.
     """
 
-    __slots__ = ("p", "batch", "grad_weights", "grad_inputs", "backend",
-                 "_scratch")
+    __slots__ = ("p", "batch", "grad_weights", "grad_inputs", "_scratch")
 
     def __init__(self, p, batch, grad_weights, grad_inputs, state_shape,
-                 dtype=np.complex128, backend=None):
+                 dtype=np.complex128):
         self.p = p
         self.batch = batch
         self.grad_weights = grad_weights  # (p, n_weights)
         self.grad_inputs = grad_inputs  # (p * batch, n_inputs) or None
-        self.backend = resolve_backend(backend)
         self._scratch = (
             np.empty(state_shape, dtype=dtype),
             np.empty(state_shape, dtype=dtype),
@@ -157,6 +278,12 @@ class StackedGradContext:
 # ---------------------------------------------------------------------------
 # Instructions
 # ---------------------------------------------------------------------------
+#
+# Every ``apply(state, data, p, batch, out=None)`` is *pure*: it never
+# mutates ``state`` and writes its result to ``out`` (a fresh array when
+# None).  Purity is what lets the forward pass checkpoint post-block states
+# by reference and the adjoint walk ping-pong between two scratch buffers;
+# ``out``, when given, is C-contiguous and never aliases the input.
 
 
 class _SDense:
@@ -252,10 +379,11 @@ class _SDense:
         )
         return matrix, grads, pp1 and pp2
 
-    def apply(self, state, data, p, batch, backend):
+    def apply(self, state, data, p, batch, out=None):
         matrix, __, per_patch = data
-        return backend.apply_dense(
-            state, matrix, p, batch, self.left, self.d, self.right, per_patch
+        return apply_dense(
+            state, matrix, p, batch, self.left, self.d, self.right, per_patch,
+            out=out,
         )
 
     def needs_state(self, data):
@@ -272,7 +400,7 @@ class _SDense:
             need_rows = not per_patch or any(
                 source[0] == "input" for source, __, ___ in grads
             )
-            m_block = ctx.backend.transition_matrix(
+            m_block = transition_matrix(
                 checkpoint, lam, p, batch, self.left, self.d, self.right,
                 per_patch=not need_rows,
             )
@@ -293,7 +421,7 @@ class _SDense:
                     ctx.grad_weights[:, index] += per
                 else:
                     ctx.grad_inputs[:, index] += per
-        return ctx.backend.apply_dense(
+        return apply_dense(
             lam, _dagger(matrix), p, batch, self.left, self.d, self.right,
             per_patch, out=ctx.out_for(lam),
         )
@@ -319,8 +447,19 @@ class _SDiagRZ:
         half = half.astype(cdtype, copy=False)
         return np.where(self.bit[None, :], np.conj(half)[:, None], half[:, None])
 
-    def apply(self, state, data, p, batch, backend):
-        return backend.diag_phase(state, data, p, batch)
+    def apply(self, state, data, p, batch, out=None):
+        """Multiply rows by ``data``, the ``(p * batch, dim)`` per-row or
+        ``(p, dim)`` per-patch (broadcast over the batch) phases."""
+        if data.shape[0] == state.shape[0]:
+            if out is None:
+                return state * data
+            np.multiply(state, data, out=out)
+            return out
+        view = state.reshape(p, batch, -1)
+        if out is None:
+            return (view * data[:, None, :]).reshape(state.shape)
+        np.multiply(view, data[:, None, :], out=out.reshape(p, batch, -1))
+        return out
 
     def needs_state(self, data):
         return True
@@ -334,7 +473,7 @@ class _SDiagRZ:
             ctx.grad_weights[:, index] += per.reshape(ctx.p, ctx.batch).sum(axis=1)
         else:
             ctx.grad_inputs[:, index] += per
-        return ctx.backend.diag_phase(
+        return self.apply(
             lam, np.conj(data), ctx.p, ctx.batch, out=ctx.out_for(lam)
         )
 
@@ -358,8 +497,16 @@ class _SDiagCRZ:
             theta = inputs[:, index]
         return np.exp(-0.5j * theta).astype(cdtype, copy=False)[:, None]
 
-    def apply(self, state, data, p, batch, backend):
-        return backend.crz_phase(state, self.idx10, self.idx11, data)
+    def apply(self, state, data, p, batch, out=None):
+        """Multiply the |10> set by the ``(p * batch, 1)`` phase ``data``
+        and the |11> set by its conjugate."""
+        if out is None:
+            out = state.copy()
+        else:
+            np.copyto(out, state)
+        out[:, self.idx10] *= data
+        out[:, self.idx11] *= np.conj(data)
+        return out
 
     def needs_state(self, data):
         return True
@@ -375,8 +522,8 @@ class _SDiagCRZ:
             ctx.grad_weights[:, index] += per.reshape(ctx.p, ctx.batch).sum(axis=1)
         else:
             ctx.grad_inputs[:, index] += per
-        return ctx.backend.crz_phase(
-            lam, self.idx10, self.idx11, np.conj(data), out=ctx.out_for(lam)
+        return self.apply(
+            lam, np.conj(data), ctx.p, ctx.batch, out=ctx.out_for(lam)
         )
 
 
@@ -392,14 +539,19 @@ class _SDiagSign:
     def bind(self, inputs, weights, p, batch, with_grads, group_data, cdtype):
         return None
 
-    def apply(self, state, data, p, batch, backend):
-        return backend.diag_sign(state, self.idx)
+    def apply(self, state, data, p, batch, out=None):
+        if out is None:
+            out = state.copy()
+        else:
+            np.copyto(out, state)
+        out[:, self.idx] *= -1.0
+        return out
 
     def needs_state(self, data):
         return False
 
     def backward_step(self, lam, data, checkpoint, ctx):
-        return ctx.backend.diag_sign(lam, self.idx, out=ctx.out_for(lam))
+        return self.apply(lam, data, ctx.p, ctx.batch, out=ctx.out_for(lam))
 
 
 class _SPermutation:
@@ -423,14 +575,17 @@ class _SPermutation:
     def bind(self, inputs, weights, p, batch, with_grads, group_data, cdtype):
         return None
 
-    def apply(self, state, data, p, batch, backend):
-        return backend.gather(state, self.perm)
+    def apply(self, state, data, p, batch, out=None):
+        # np.take, not state[:, perm]: fancy indexing along axis 1 yields
+        # an F-ordered array, which would poison downstream reshape-view
+        # kernels.
+        return np.take(state, self.perm, axis=1, out=out)
 
     def needs_state(self, data):
         return False
 
     def backward_step(self, lam, data, checkpoint, ctx):
-        return ctx.backend.gather(lam, self.inv, out=ctx.out_for(lam))
+        return np.take(lam, self.inv, axis=1, out=ctx.out_for(lam))
 
 
 class _SStaticGroup:
@@ -512,8 +667,7 @@ class StackedPlan:
             for instr in self.instructions
         ]
 
-    def run(self, state, bound: list, p: int, batch: int, record=None,
-            backend=None):
+    def run(self, state, bound: list, p: int, batch: int, record=None):
         """Execute the bound program on a ``(p * batch, 2**n)`` state.
 
         Instructions are *pure* — each apply returns a fresh array and
@@ -522,15 +676,9 @@ class StackedPlan:
         every instruction whose backward needs it; the adjoint walk then
         reads the ket side from these checkpoints instead of un-applying
         it, halving the dense work of the backward pass.
-
-        ``backend`` selects the kernel set the instructions dispatch
-        through (:mod:`repro.quantum.backends`); None follows the active
-        backend policy.  The plan itself is backend-agnostic — the same
-        lowered program runs on any registered backend.
         """
-        backend = resolve_backend(backend)
         for instr, data in zip(self.instructions, bound):
-            state = instr.apply(state, data, p, batch, backend)
+            state = instr.apply(state, data, p, batch)
             if record is not None:
                 record.append(state if instr.needs_state(data) else None)
         return state
@@ -566,13 +714,10 @@ class CompiledPlan(StackedPlan):
             with_grads, cdtype,
         )
 
-    def run(self, state: np.ndarray, bound: list, record=None,
-            backend=None) -> np.ndarray:
+    def run(self, state: np.ndarray, bound: list, record=None) -> np.ndarray:
         """Execute the bound program on a ``(batch, 2**n)`` state."""
-        return StackedPlan.run(
-            self, state, bound, 1, state.shape[0], record=record,
-            backend=backend,
-        )
+        return StackedPlan.run(self, state, bound, 1, state.shape[0],
+                               record=record)
 
 
 # ---------------------------------------------------------------------------

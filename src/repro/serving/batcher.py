@@ -29,6 +29,7 @@ requests into exactly that shape:
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -115,14 +116,25 @@ class MicroBatcher:
     max extra latency a request pays waiting for co-riders; ``max_batch``
     caps requests per flush; ``max_queue`` bounds pending requests;
     ``default_timeout`` (seconds, None = wait forever) applies to requests
-    submitted without their own.
+    submitted without their own.  Both durations must be finite: an
+    infinite window would stall the worker on its first request, and a
+    ``nan`` or infinite timeout breaks every deadline computed from it.
     """
 
     def __init__(self, execute, *, flush_window: float = 0.005,
                  max_batch: int = 64, max_queue: int = 256,
                  default_timeout: float | None = 30.0):
-        if flush_window < 0:
-            raise ValueError("flush_window must be >= 0")
+        if not (math.isfinite(flush_window) and flush_window >= 0):
+            raise ValueError(
+                f"flush_window must be finite and >= 0, got {flush_window!r}"
+            )
+        if default_timeout is not None and not (
+            math.isfinite(default_timeout) and default_timeout > 0
+        ):
+            raise ValueError(
+                "default_timeout must be None or finite and > 0, got "
+                f"{default_timeout!r}"
+            )
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_queue < 1:

@@ -8,8 +8,8 @@ pays those costs once per *distinct* checkpoint:
 * checkpoints are deserialized once and kept as live modules in an LRU
   cache keyed by :func:`~repro.nn.serialization.module_fingerprint` plus
   the checkpoint metadata that changes execution semantics (model name,
-  architecture hyperparameters, recorded precision and backend) — two
-  paths to byte-identical checkpoints share one entry;
+  architecture hyperparameters, recorded precision) — two paths to
+  byte-identical checkpoints share one entry;
 * the module is rebuilt with the checkpoint's *recorded* precision
   (:func:`repro.models.build_from_metadata`), so a float32 checkpoint
   executes at complex64 instead of silently running float32 weights
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,14 +44,15 @@ from ..nn.serialization import (
 )
 from ..nn.tensor import Tensor, no_grad
 from ..models.factory import build_from_metadata
-from ..quantum.backends import resolve_backend
 
 __all__ = ["ModelEntry", "ModelRegistry"]
 
 # Metadata fields that change what an entry *executes*, not just how it
-# was produced — they join the fingerprint in the cache key.
+# was produced — they join the fingerprint in the cache key.  Older
+# checkpoints may record a "backend"; no field selects the kernels, so it
+# is ignored.
 _KEY_FIELDS = ("model", "input_dim", "n_patches", "n_layers", "latent_dim",
-               "precision", "backend")
+               "precision")
 
 
 @dataclass
@@ -63,7 +63,6 @@ class ModelEntry:
     metadata: dict
     fingerprint: str
     precision: Precision
-    backend: object | None  # resolved KernelBackend, or None = policy
     key: tuple
     path: Path | None = None
 
@@ -81,12 +80,6 @@ class ModelEntry:
 
     def matrix_size(self) -> int:
         return matrix_size(self.model)
-
-    def scope(self):
-        """Execution scope for this entry (its recorded kernel backend)."""
-        from ..quantum.backends import use_backend
-
-        return nullcontext() if self.backend is None else use_backend(self.backend)
 
 
 @dataclass
@@ -156,7 +149,7 @@ class ModelRegistry:
 
         The entry is keyed, warmed, and evictable exactly like a
         checkpoint-loaded one; ``metadata`` follows ``save_module``'s
-        vocabulary (``precision`` / ``backend`` are honored).
+        vocabulary (``precision`` is honored).
         """
         metadata = dict(metadata or {})
         entry = self._make_entry(model, metadata, path=None)
@@ -177,15 +170,12 @@ class ModelRegistry:
                     ) -> ModelEntry:
         fingerprint = module_fingerprint(model)
         precision = resolve_precision(metadata.get("precision"))
-        backend_name = metadata.get("backend")
-        backend = (resolve_backend(backend_name)
-                   if backend_name is not None else None)
         key = (fingerprint,) + tuple(
             metadata.get(name) for name in _KEY_FIELDS
         )
         entry = ModelEntry(
             model=model, metadata=metadata, fingerprint=fingerprint,
-            precision=precision, backend=backend, key=key, path=path,
+            precision=precision, key=key, path=path,
         )
         self._warm(entry)
         return entry
@@ -194,7 +184,7 @@ class ModelRegistry:
     def _warm(entry: ModelEntry) -> None:
         """Lower every plan a request could need with two 1-row passes."""
         model = entry.model
-        with entry.scope(), no_grad():
+        with no_grad():
             # Ones, not zeros: amplitude-embedding encoders reject
             # zero-norm rows, and the plan lowered is the same either way.
             model.encode(Tensor(np.ones((1, model.input_dim))))

@@ -225,8 +225,7 @@ class GenerationService:
             prior_latents(model, count, np.random.default_rng(seed))
             for __, count, seed in payloads
         ]
-        with entry.scope():
-            flat = decode_latents(model, np.concatenate(latents, axis=0))
+        flat = decode_latents(model, np.concatenate(latents, axis=0))
         size = entry.matrix_size()
         matrices = flat.reshape(-1, size, size)
         return _split_rows(matrices, [z.shape[0] for z in latents])
@@ -235,7 +234,7 @@ class GenerationService:
     def _run_encode(payloads):
         entry = payloads[0][0]
         stacked = np.concatenate([features for __, features in payloads])
-        with entry.scope(), no_grad():
+        with no_grad():
             latents = entry.model.encode(Tensor(stacked)).data
         return _split_rows(latents, [f.shape[0] for __, f in payloads])
 

@@ -1,13 +1,13 @@
-"""Training runtime: shared loop, pluggable step strategies, histories."""
+"""Training runtime: the training loop, its losses and histories."""
 
 from .history import EpochRecord, History
 from .losses import LossTerms, autoencoder_loss
-from .strategies import SequentialTrainStep, TrainStep, clip_grad_norm
 from .trainer import (
     PAPER_CLASSICAL_LR,
     PAPER_QUANTUM_LR,
     TrainConfig,
     Trainer,
+    clip_grad_norm,
     evaluate_reconstruction,
 )
 
@@ -18,8 +18,6 @@ __all__ = [
     "autoencoder_loss",
     "TrainConfig",
     "Trainer",
-    "TrainStep",
-    "SequentialTrainStep",
     "clip_grad_norm",
     "evaluate_reconstruction",
     "PAPER_QUANTUM_LR",

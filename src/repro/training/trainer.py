@@ -5,17 +5,15 @@ learning rate 0.001 for the depth study, and — after the Fig. 7 ablation —
 *heterogeneous* learning rates: 0.03 for quantum rotation angles and 0.01
 for classical weights.  :class:`TrainConfig` exposes exactly those knobs.
 
-The loop itself is split in two: :class:`Trainer` runs everything that
-happens *between* optimizer updates (epoch accounting, the scheduler,
-early stopping, history), while a :class:`~repro.training.strategies
-.TrainStep` strategy executes each update.  The default strategy is the
-historical in-process loop body.
+:class:`Trainer` is the one training loop: per batch a forward pass, the
+loss, one backward walk, optional global-norm clipping and one optimizer
+step; per epoch the test loss, the scheduler, early stopping and the
+history record.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,15 +25,43 @@ from ..nn.optim import Optimizer, heterogeneous_adam
 from ..nn.precision import resolve_precision, use_precision
 from ..nn.schedulers import LRScheduler
 from ..nn.tensor import Tensor, no_grad
-from ..quantum.backends import resolve_backend, use_backend
 from .history import EpochRecord, History
-from .strategies import SequentialTrainStep, TrainStep, clip_grad_norm
+from .losses import autoencoder_loss
 
 __all__ = ["TrainConfig", "Trainer", "evaluate_reconstruction",
            "clip_grad_norm"]
 
 PAPER_QUANTUM_LR = 0.03
 PAPER_CLASSICAL_LR = 0.01
+
+
+def clip_grad_norm(parameters, max_norm: float) -> float:
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    Returns the pre-clipping norm (torch semantics).  Parameters without
+    gradients are skipped; a norm *exactly* at ``max_norm`` is left
+    untouched.  Scaling happens in place (``out=p.grad``) — one steady
+    buffer per parameter instead of a fresh allocation per clipped step.
+
+    The squared temporaries are forced into C order before summing:
+    ``.sum()`` reduces in *memory* order, so an F-ordered gradient (a
+    matmul VJP is often a transposed view) would otherwise round its
+    pairwise sum differently from a C-ordered copy of the same values —
+    the norm must not depend on gradient memory layout.
+    """
+    if max_norm <= 0:
+        raise ValueError("max_norm must be positive")
+    params = [p for p in parameters if p.grad is not None]
+    if not params:
+        return 0.0
+    total = float(np.sqrt(sum(
+        float(np.multiply(p.grad, p.grad, order="C").sum()) for p in params
+    )))
+    if total > max_norm:
+        scale = max_norm / (total + 1e-12)
+        for param in params:
+            np.multiply(param.grad, scale, out=param.grad)
+    return total
 
 
 @dataclass
@@ -56,10 +82,6 @@ class TrainConfig:
     # the policy over the loop, so gradients/optimizer state follow too —
     # pair with a model built with the same dtype to train fully in float32.
     precision: str | None = None
-    # Kernel backend for the whole run (None = active policy, NumPy by
-    # default).  "threaded" scopes the row-sharding backend over the loop,
-    # so every quantum layer's stacked passes run on the worker pool.
-    backend: str | None = None
     # Learning-rate schedule: a factory called once with the optimizer
     # (e.g. ``lambda opt: StepLR(opt, step_size=5, gamma=0.5)``) and
     # stepped once per epoch.  Schedulers rescale every parameter group
@@ -81,21 +103,10 @@ class TrainConfig:
 class Trainer:
     """Fits one autoencoder on one dataset and records the loss trace."""
 
-    def __init__(
-        self,
-        model: Autoencoder,
-        config: TrainConfig,
-        strategy: TrainStep | None = None,
-    ):
+    def __init__(self, model: Autoencoder, config: TrainConfig):
         self.model = model
         self.config = config
         self.precision = resolve_precision(config.precision)
-        # None stays None (follow the active backend policy at fit time —
-        # a caller's use_backend scope must not be overridden); an
-        # explicit config.backend pins the whole run.
-        self.backend = (
-            None if config.backend is None else resolve_backend(config.backend)
-        )
         self.optimizer = heterogeneous_adam(
             model, quantum_lr=config.quantum_lr, classical_lr=config.classical_lr
         )
@@ -104,7 +115,6 @@ class Trainer:
             if config.scheduler is not None
             else None
         )
-        self.strategy = SequentialTrainStep() if strategy is None else strategy
 
     def fit(
         self,
@@ -113,17 +123,12 @@ class Trainer:
     ) -> History:
         """Train for ``config.epochs`` epochs; evaluates test loss per epoch.
 
-        The whole loop runs under the config's precision policy (batches
+        The whole loop runs under the config's precision policy: batches
         are cast to its real dtype and gradient buffers follow its
-        accumulation rule) and kernel backend (every quantum execution
-        dispatches through it).
+        accumulation rule.
         """
-        with use_precision(self.precision), self._backend_scope():
+        with use_precision(self.precision):
             return self._fit(train_data, test_data)
-
-    def _backend_scope(self):
-        """The config's backend scope — a no-op when it follows the policy."""
-        return nullcontext() if self.backend is None else use_backend(self.backend)
 
     def _fit(
         self,
@@ -153,60 +158,72 @@ class Trainer:
                 f"{len(train_data)} sample(s) at batch_size="
                 f"{config.batch_size}"
             )
+        real = self.precision.real
         history = History()
         best_test = float("inf")
         epochs_since_best = 0
-        self.strategy.setup(self, train_data.features)
-        try:
-            for epoch in range(1, config.epochs + 1):
-                started = time.perf_counter()
-                epoch_total = epoch_recon = epoch_kl = 0.0
-                n_batches = 0
-                self.model.train()
-                for indices in loader.iter_index_batches():
-                    terms = self.strategy.step(indices)
-                    epoch_total += terms.total
-                    epoch_recon += terms.reconstruction
-                    epoch_kl += terms.kl
-                    n_batches += 1
-                    history.batch_losses.append(terms.total)
-                record = EpochRecord(
-                    epoch=epoch,
-                    train_loss=epoch_total / n_batches,
-                    train_reconstruction=epoch_recon / n_batches,
-                    train_kl=epoch_kl / n_batches,
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            epoch_total = epoch_recon = epoch_kl = 0.0
+            n_batches = 0
+            self.model.train()
+            for batch in loader:
+                # set_to_none pairs with the compiled tape (repro.nn.graph):
+                # full-size batches re-record structurally identical tapes,
+                # so every backward after the first runs one cached
+                # GraphPlan with reused cotangent buffers, and dropping
+                # .grad lets leaves adopt the plan's fresh outputs instead
+                # of accumulating into stale zeroed buffers.
+                self.optimizer.zero_grad(set_to_none=True)
+                output = self.model(Tensor(batch, dtype=real))
+                loss, terms = autoencoder_loss(
+                    output, Tensor(batch, dtype=real), beta=config.beta
                 )
-                if test_data is not None:
-                    record.test_loss = self.evaluate(test_data)
-                    record.test_reconstruction = record.test_loss
-                record.seconds = time.perf_counter() - started
-                history.append(record)
-                if self.scheduler is not None:
-                    self.scheduler.step()
-                if (
-                    config.early_stop_patience is not None
-                    and record.test_loss is not None
-                ):
-                    if record.test_loss < best_test - 1e-12:
-                        best_test = record.test_loss
-                        epochs_since_best = 0
-                    else:
-                        epochs_since_best += 1
-                        if epochs_since_best >= config.early_stop_patience:
-                            break
-        finally:
-            self.strategy.close()
+                loss.backward()
+                if config.max_grad_norm is not None:
+                    clip_grad_norm(self.model.parameters(),
+                                   config.max_grad_norm)
+                self.optimizer.step()
+                epoch_total += terms.total
+                epoch_recon += terms.reconstruction
+                epoch_kl += terms.kl
+                n_batches += 1
+                history.batch_losses.append(terms.total)
+            record = EpochRecord(
+                epoch=epoch,
+                train_loss=epoch_total / n_batches,
+                train_reconstruction=epoch_recon / n_batches,
+                train_kl=epoch_kl / n_batches,
+            )
+            if test_data is not None:
+                record.test_loss = self.evaluate(test_data)
+                record.test_reconstruction = record.test_loss
+            record.seconds = time.perf_counter() - started
+            history.append(record)
+            if self.scheduler is not None:
+                self.scheduler.step()
+            if (
+                config.early_stop_patience is not None
+                and record.test_loss is not None
+            ):
+                if record.test_loss < best_test - 1e-12:
+                    best_test = record.test_loss
+                    epochs_since_best = 0
+                else:
+                    epochs_since_best += 1
+                    if epochs_since_best >= config.early_stop_patience:
+                        break
         return history
 
     def evaluate(self, data: ArrayDataset) -> float:
         """Mean reconstruction MSE over a dataset (no gradient tracking).
 
-        Runs under the config's precision policy *and* backend scope —
-        evaluation used to pick up whatever ambient precision the caller
-        had active, so a float32-configured trainer evaluated in float64
-        when called outside ``fit``.
+        Runs under the config's precision policy — evaluation used to pick
+        up whatever ambient precision the caller had active, so a
+        float32-configured trainer evaluated in float64 when called
+        outside ``fit``.
         """
-        with use_precision(self.precision), self._backend_scope():
+        with use_precision(self.precision):
             return evaluate_reconstruction(
                 self.model, data, self.config.batch_size, dtype=self.precision
             )

@@ -88,10 +88,12 @@ class TestSplitAndLoader:
 
     def test_loader_shuffles_deterministically(self):
         data = ArrayDataset(np.arange(10.0).reshape(10, 1))
-        a = np.concatenate(list(DataLoader(data, batch_size=10, seed=5))).ravel()
-        b = np.concatenate(list(DataLoader(data, batch_size=10, seed=5))).ravel()
+        a = np.concatenate(list(DataLoader(data, batch_size=4, seed=5))).ravel()
+        b = np.concatenate(list(DataLoader(data, batch_size=4, seed=5))).ravel()
         np.testing.assert_allclose(a, b)
         assert not np.allclose(a, np.arange(10.0))
+        # One permutation per epoch: every row exactly once across batches.
+        np.testing.assert_array_equal(np.sort(a), np.arange(10.0))
 
     def test_loader_len_matches_iteration(self):
         data = ArrayDataset(np.zeros((7, 1)))

@@ -22,8 +22,6 @@ import numpy as np
 import pytest
 
 from repro.quantum import (
-    NumpyBackend,
-    ThreadedBackend,
     backward,
     backward_stacked,
     execute,
@@ -161,28 +159,15 @@ class TestDifferentialRandomCircuits:
         gradcheck_shift(circuit, inputs, weights, grad_outputs, gw)
 
 
-class TestBackendParity:
-    """Both kernel backends must agree with the naive reference on the full
-    randomized suite, to float64 tolerance.
+class TestEngineParity:
+    """The compiled and stacked engines must agree with the naive reference
+    on the full randomized suite, to float64 tolerance, with every stack a
+    true stack of 2 or 3 instances."""
 
-    The threaded backend is instantiated with ``min_shard_elements=1`` and
-    more workers than most cases have rows, so every kernel actually
-    shards (the production defaults would route these small states to the
-    unsharded fallthrough and test nothing).
-    """
-
-    # One pool for the whole suite; sharding forced on for every kernel.
-    BACKENDS = {
-        "numpy": NumpyBackend(),
-        "threaded": ThreadedBackend(max_workers=3, min_shard_elements=1),
-    }
-
-    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
     @pytest.mark.parametrize("seed", range(N_SEEDS))
-    def test_backends_match_naive_reference(
-        self, seed, backend_name, random_circuit
+    def test_compiled_and_stacked_match_naive_reference(
+        self, seed, random_circuit
     ):
-        backend = self.BACKENDS[backend_name]
         circuit, inputs, weights, batch, rng = _case_for_seed(
             seed, random_circuit
         )
@@ -192,8 +177,7 @@ class TestBackendParity:
         grad_outputs = rng.normal(size=out_n.shape)
         gi_n, gw_n = naive_backward(cache_n, grad_outputs)
 
-        out_c, cache_c = execute(circuit, inputs, weights, backend=backend)
-        assert cache_c.backend is backend
+        out_c, cache_c = execute(circuit, inputs, weights)
         np.testing.assert_allclose(out_c, out_n, atol=1e-10)
         gi_c, gw_c = backward(cache_c, grad_outputs)
         np.testing.assert_allclose(gw_c, gw_n, atol=1e-10)
@@ -204,8 +188,7 @@ class TestBackendParity:
             ).copy()
         )
         out_s, cache_s = execute_stacked(
-            circuit, stacked_inputs, np.tile(weights, (p, 1)),
-            backend=backend,
+            circuit, stacked_inputs, np.tile(weights, (p, 1))
         )
         gi_s, gw_s = backward_stacked(
             cache_s, np.broadcast_to(grad_outputs, (p,) + grad_outputs.shape)
@@ -219,60 +202,6 @@ class TestBackendParity:
             np.testing.assert_allclose(gi_c, gi_n, atol=1e-10)
             for k in range(p):
                 np.testing.assert_allclose(gi_s[k], gi_n, atol=1e-10)
-
-
-class TestThreadedEdgeCases:
-    """Worker-count extremes of the row-sharding backend."""
-
-    def _case(self, random_circuit, batch=3):
-        rng = np.random.default_rng(77)
-        circuit = random_circuit(rng, 3, 12, "amplitude", "expval")
-        weights = rng.uniform(-np.pi, np.pi, circuit.n_weights)
-        inputs = rng.uniform(0.1, 2.0, size=(batch, circuit.n_inputs))
-        return circuit, inputs, weights, rng
-
-    def _assert_matches_numpy(self, backend, random_circuit, batch):
-        circuit, inputs, weights, rng = self._case(random_circuit, batch)
-        out_ref, cache_ref = execute(circuit, inputs, weights)
-        grad_outputs = rng.normal(size=out_ref.shape)
-        gi_ref, gw_ref = backward(cache_ref, grad_outputs)
-
-        out, cache = execute(circuit, inputs, weights, backend=backend)
-        gi, gw = backward(cache, grad_outputs)
-        np.testing.assert_allclose(out, out_ref, atol=1e-12)
-        np.testing.assert_allclose(gw, gw_ref, atol=1e-12)
-        np.testing.assert_allclose(gi, gi_ref, atol=1e-12)
-
-        p = 2
-        outs, cache_s = execute_stacked(
-            circuit,
-            np.broadcast_to(inputs, (p,) + inputs.shape).copy(),
-            np.tile(weights, (p, 1)),
-            backend=backend,
-        )
-        gis, gws = backward_stacked(
-            cache_s, np.broadcast_to(grad_outputs, (p,) + grad_outputs.shape)
-        )
-        for k in range(p):
-            np.testing.assert_allclose(outs[k], out_ref, atol=1e-12)
-            np.testing.assert_allclose(gws[k], gw_ref, atol=1e-12)
-            np.testing.assert_allclose(gis[k], gi_ref, atol=1e-12)
-
-    def test_single_worker_pool(self, random_circuit):
-        # One worker degrades to the unsharded kernels — still exact.
-        backend = ThreadedBackend(max_workers=1)
-        self._assert_matches_numpy(backend, random_circuit, batch=3)
-
-    def test_more_workers_than_rows(self, random_circuit):
-        # 64 workers over 1-3 rows: shards clamp to the row count (some
-        # kernels get one shard per row, none get an empty shard).
-        backend = ThreadedBackend(max_workers=64, min_shard_elements=1)
-        self._assert_matches_numpy(backend, random_circuit, batch=1)
-        self._assert_matches_numpy(backend, random_circuit, batch=3)
-
-    def test_worker_count_validation(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ThreadedBackend(max_workers=0)
 
 
 class TestCotangentValidation:

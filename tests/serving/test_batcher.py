@@ -121,6 +121,19 @@ class TestBackpressure:
         with pytest.raises(ValueError, match="max_queue"):
             MicroBatcher(echo_executor, max_queue=0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"flush_window": float("inf")}, "flush_window"),
+        ({"flush_window": float("nan")}, "flush_window"),
+        ({"default_timeout": float("inf")}, "default_timeout"),
+        ({"default_timeout": float("nan")}, "default_timeout"),
+        ({"default_timeout": 0.0}, "default_timeout"),
+    ])
+    def test_constructor_rejects_unusable_durations(self, kwargs, match):
+        # An infinite window kills the worker thread on the first request;
+        # nan/inf timeouts fail or overflow every request.
+        with pytest.raises(ValueError, match=match):
+            MicroBatcher(echo_executor, **kwargs)
+
 
 class TestTimeouts:
     def test_call_times_out_instead_of_hanging(self):

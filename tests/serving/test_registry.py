@@ -116,16 +116,27 @@ class TestPrecisionRebuild:
             warnings.simplefilter("error")
             ModelRegistry().load(path)
 
-    def test_recorded_backend_resolves(self, tmp_path):
-        path = checkpoint(tmp_path, backend="threaded")
-        entry = ModelRegistry().load(path)
-        assert entry.backend is not None
-        with entry.scope():
-            pass  # scope() enters the recorded backend
+    def test_recorded_backend_key_is_ignored(self, tmp_path):
+        # Older checkpoints may record the kernel backend they trained on;
+        # it neither fails the load nor changes the outputs.
+        from repro.evaluation.sampling import decode_latents
+        from repro.models import build_model
 
-    def test_no_backend_means_policy_scope(self, tmp_path):
-        entry = ModelRegistry().load(checkpoint(tmp_path))
-        assert entry.backend is None
+        model = build_model("sq-vae", 64, 4, 1, 6, seed=0)
+        metadata = {"model": "sq-vae", "input_dim": 64, "n_patches": 4,
+                    "n_layers": 1, "latent_dim": 6, "seed": 0}
+        plain = save_module(model, tmp_path / "plain", metadata=metadata)
+        old = save_module(model, tmp_path / "old",
+                          metadata={**metadata, "backend": "threaded"})
+        fresh = [ModelRegistry().load(path) for path in (plain, old)]
+        latents = np.random.default_rng(5).normal(
+            size=(4, fresh[0].latent_dim))
+        np.testing.assert_array_equal(
+            decode_latents(fresh[1].model, latents),
+            decode_latents(fresh[0].model, latents),
+        )
+        registry = ModelRegistry()
+        assert registry.load(old) is registry.load(plain)  # one cache entry
 
     def test_precision_changes_cache_key(self, tmp_path):
         registry = ModelRegistry()

@@ -5,7 +5,7 @@ import argparse
 import numpy as np
 import pytest
 
-from repro.cli import _non_negative_int, main
+from repro.cli import _non_negative_int, _port, _positive_float, main
 
 
 class TestTrain:
@@ -117,7 +117,7 @@ class TestSample:
         assert "QED" not in output  # no orphaned table header
 
 
-class TestPrecisionBackendRoundTrip:
+class TestCheckpointRoundTrip:
     def test_float32_training_round_trips_through_sample(self, tmp_path,
                                                          capsys,
                                                          recwarn):
@@ -127,11 +127,11 @@ class TestPrecisionBackendRoundTrip:
         assert main([
             "train", "--model", "vae", "--dataset", "qm9", "--samples", "32",
             "--epochs", "1", "--batch-size", "16", "--precision", "float32",
-            "--backend", "numpy", "--warm-start-bias", "--out", str(path),
+            "--warm-start-bias", "--out", str(path),
         ]) == 0
         meta = read_checkpoint_metadata(path)
         assert meta["precision"] == "float32"
-        assert meta["backend"] == "numpy"
+        assert "backend" not in meta
         # Sampling rebuilds the module at the recorded dtype, so the
         # width-mismatch warning must not fire.
         assert main(["sample", "--checkpoint", str(path), "--count", "3"]) == 0
@@ -139,6 +139,38 @@ class TestPrecisionBackendRoundTrip:
                     if "parameters but the module was built"
                     in str(w.message)]
         capsys.readouterr()
+
+    def test_recorded_backend_key_is_ignored_by_sample(self, tmp_path,
+                                                      capsys):
+        # Older checkpoints may record the kernel backend they trained on;
+        # sampling them prints exactly what the same weights print without
+        # the key.
+        from repro.models import build_from_metadata
+        from repro.nn.serialization import (
+            load_module,
+            read_checkpoint_metadata,
+            save_module,
+        )
+
+        plain = tmp_path / "sq.npz"
+        assert main([
+            "train", "--model", "sq-vae", "--dataset", "qm9", "--samples",
+            "24", "--epochs", "1", "--batch-size", "16", "--patches", "4",
+            "--layers", "1", "--warm-start-bias", "--out", str(plain),
+        ]) == 0
+        meta = read_checkpoint_metadata(plain)
+        model = build_from_metadata(meta)
+        load_module(model, plain)
+        old = save_module(model, tmp_path / "old",
+                          metadata={**meta, "backend": "threaded"})
+        capsys.readouterr()
+        printed = []
+        for path in (plain, old):
+            assert main(["sample", "--checkpoint", str(path), "--count", "8",
+                         "--seed", "3"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[1] == printed[0]
+        assert "samples decoded to usable molecules" in printed[0]
 
     def test_mismatched_manual_rebuild_warns(self, tmp_path):
         # Loading a float32 checkpoint into a float64-built module is the
@@ -223,6 +255,14 @@ class TestFlagValidation:
          "--max-batch"),
         (["serve", "--checkpoint", "x.npz", "--flush-ms", "-1"],
          "--flush-ms"),
+        (["serve", "--checkpoint", "x.npz", "--flush-ms", "nan"],
+         "--flush-ms"),
+        (["serve", "--checkpoint", "x.npz", "--flush-ms", "inf"],
+         "--flush-ms"),
+        (["serve", "--checkpoint", "x.npz", "--timeout", "nan"],
+         "--timeout"),
+        (["serve", "--checkpoint", "x.npz", "--timeout", "inf"],
+         "--timeout"),
     ])
     def test_rejected_with_flag_named(self, argv, flag, capsys):
         with pytest.raises(SystemExit):
@@ -230,6 +270,30 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert f"argument {flag}" in err
         assert "expected a positive" in err
+
+    @pytest.mark.parametrize("argv, flag, expected", [
+        (["train", "--model", "vae", "--dataset", "qm9", "--layers", "-2"],
+         "--layers", "expected a non-negative integer"),
+        (["draw", "--model", "sq-ae", "--layers", "-2"],
+         "--layers", "expected a non-negative integer"),
+        (["serve", "--checkpoint", "x.npz", "--max-requests", "-1"],
+         "--max-requests", "expected a non-negative integer"),
+        (["serve", "--checkpoint", "x.npz", "--port", "70000"],
+         "--port", "expected a port number in 0-65535"),
+        (["serve", "--checkpoint", "x.npz", "--port", "-1"],
+         "--port", "expected a port number in 0-65535"),
+        (["serve", "--checkpoint", "x.npz", "--port", "http"],
+         "--port", "expected a port number in 0-65535"),
+    ])
+    def test_out_of_range_rejected_with_flag_named(self, argv, flag,
+                                                   expected, capsys):
+        # Caught at parse time: past it, each of these ends in a traceback
+        # (serve only after loading and warming the checkpoint).
+        with pytest.raises(SystemExit):
+            main(argv)
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert expected in err
 
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "vae", "--dataset", "qm9"],
@@ -250,9 +314,16 @@ class TestFlagValidation:
                   "--workers", "1"])
         assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
+    def test_kernel_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--model", "ae", "--dataset", "qm9",
+                  "--backend", "numpy"])
+        assert "unrecognized arguments: --backend numpy" in \
+            capsys.readouterr().err
+
 
 class TestNonNegativeInt:
-    """The ``--seed`` argparse type."""
+    """The ``--seed`` / ``--layers`` / ``--max-requests`` argparse type."""
 
     @pytest.mark.parametrize("text, value", [
         ("0", 0),
@@ -268,6 +339,46 @@ class TestNonNegativeInt:
             _non_negative_int(text)
         assert str(excinfo.value) == \
             f"expected a non-negative integer, got {text!r}"
+
+
+class TestPositiveFloat:
+    """The ``--flush-ms`` / ``--timeout`` argparse type."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("0.5", 0.5),
+        ("30", 30.0),
+        ("1e-3", 0.001),
+    ])
+    def test_accepts(self, text, value):
+        assert _positive_float(text) == value
+
+    @pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "-inf",
+                                      "1e999", "soon", ""])
+    def test_rejects_naming_the_value(self, text):
+        with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+            _positive_float(text)
+        assert str(excinfo.value) == \
+            f"expected a positive finite number, got {text!r}"
+
+
+class TestPort:
+    """The ``serve --port`` argparse type."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0),
+        ("7411", 7411),
+        ("65535", 65535),
+    ])
+    def test_accepts(self, text, value):
+        assert _port(text) == value
+
+    @pytest.mark.parametrize("text", ["-1", "65536", "70000", "http",
+                                      "80.5", ""])
+    def test_rejects_naming_the_value(self, text):
+        with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+            _port(text)
+        assert str(excinfo.value) == \
+            f"expected a port number in 0-65535, got {text!r}"
 
 
 class TestStatsAndDraw:

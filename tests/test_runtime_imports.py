@@ -42,6 +42,14 @@ def test_entry_points_import_no_process_machinery(module):
                          {"multiprocessing", "concurrent.futures.process"}) == "[]"
 
 
+@pytest.mark.parametrize("module", ["repro.cli", "repro.experiments.run",
+                                    "repro.training"])
+def test_entry_points_import_no_thread_pool(module):
+    # The quantum kernels are plain NumPy calls; only the serving batcher
+    # (Future) and the experiment pool (inside main) use concurrent.futures.
+    assert _loaded_after(f"import {module}", {"concurrent.futures"}) == "[]"
+
+
 def test_experiment_runner_imports_no_process_machinery():
     # Pool workers import the runner before they run anything, and so
     # does repro-quick's set-up probe: the pool is imported inside main.

@@ -1,18 +1,15 @@
-"""Tests for the TrainStep strategy seam and the shared update tail."""
+"""Tests for the training loop: per-epoch control, records, clipping."""
 
 import numpy as np
 import pytest
 
 from repro.data import ArrayDataset
-from repro.models import ClassicalAE, build_model
+from repro.models import build_model
 from repro.nn import Parameter
 from repro.nn.schedulers import StepLR
 from repro.training import (
-    LossTerms,
-    SequentialTrainStep,
     TrainConfig,
     Trainer,
-    TrainStep,
     clip_grad_norm,
     evaluate_reconstruction,
 )
@@ -29,94 +26,33 @@ def make_model(seed=3, dim=16, dtype=None):
         build_model("ae", dim, 4, 2, 4, seed=seed, dtype=dtype)
 
 
-class TestStrategySeam:
-    def test_default_strategy_is_sequential(self):
-        trainer = Trainer(make_model(), TrainConfig(epochs=1))
-        assert isinstance(trainer.strategy, SequentialTrainStep)
-
-    def test_lifecycle_setup_steps_close(self):
-        calls = []
-
-        class Spy(SequentialTrainStep):
-            def setup(self, trainer, features):
-                calls.append("setup")
-                super().setup(trainer, features)
-
-            def step(self, indices):
-                calls.append("step")
-                return super().step(indices)
-
-            def close(self):
-                calls.append("close")
-
-        data = toy_data(n=16)
-        config = TrainConfig(epochs=2, batch_size=8)
-        Trainer(make_model(), config, strategy=Spy()).fit(data)
-        assert calls == ["setup"] + ["step"] * 4 + ["close"]
-
-    def test_close_runs_when_step_raises_mid_epoch(self):
-        closed = []
-
-        class Exploding(SequentialTrainStep):
-            def step(self, indices):
-                raise RuntimeError("boom")
-
-            def close(self):
-                closed.append(True)
-
-        trainer = Trainer(make_model(), TrainConfig(epochs=1, batch_size=8),
-                          strategy=Exploding())
-        with pytest.raises(RuntimeError, match="boom"):
-            trainer.fit(toy_data(n=16))
-        assert closed == [True]
-
-    def test_step_receives_loader_index_batches(self):
-        seen = []
-
-        class Recorder(SequentialTrainStep):
-            def step(self, indices):
-                seen.append(np.asarray(indices).copy())
-                return super().step(indices)
-
-        data = toy_data(n=16)
-        config = TrainConfig(epochs=1, batch_size=8, seed=11)
-        Trainer(make_model(), config, strategy=Recorder()).fit(data)
-        flat = np.concatenate(seen)
-        assert sorted(flat.tolist()) == list(range(16))
-
-    def test_abstract_step_raises(self):
-        with pytest.raises(NotImplementedError):
-            TrainStep().step(np.arange(4))
-
-
 class TestTrainerSideControl:
-    """Scheduler stepping and early stopping belong to the trainer: a
-    strategy only executes updates."""
+    """Scheduler stepping and early stopping happen between epochs."""
 
     def test_scheduler_steps_once_per_epoch_between_updates(self):
-        seen = []
-
-        class LrRecorder(SequentialTrainStep):
-            def step(self, indices):
-                seen.append(self.optimizer.param_groups[0]["lr"])
-                return super().step(indices)
-
         config = TrainConfig(
             epochs=3, batch_size=8, classical_lr=0.01,
             scheduler=lambda opt: StepLR(opt, step_size=1, gamma=0.5),
         )
-        Trainer(make_model(), config, strategy=LrRecorder()).fit(toy_data(n=16))
+        trainer = Trainer(make_model(), config)
+        seen = []
+        step = trainer.optimizer.step
+
+        def recording_step():
+            seen.append(trainer.optimizer.param_groups[0]["lr"])
+            step()
+
+        trainer.optimizer.step = recording_step
+        trainer.fit(toy_data(n=16))
         assert seen == pytest.approx([0.01, 0.01, 0.005, 0.005,
                                       0.0025, 0.0025])
 
     def test_early_stopping_ends_a_fit_that_never_improves(self):
-        class Frozen(TrainStep):
-            # Reports a loss but never updates, so the test loss is flat.
-            def step(self, indices):
-                return LossTerms(total=1.0, reconstruction=1.0, kl=0.0)
-
-        config = TrainConfig(epochs=10, batch_size=8, early_stop_patience=2)
-        history = Trainer(make_model(), config, strategy=Frozen()).fit(
+        # Zero learning rates leave every parameter in place, so the test
+        # loss is flat from the first epoch on.
+        config = TrainConfig(epochs=10, batch_size=8, early_stop_patience=2,
+                             quantum_lr=0.0, classical_lr=0.0)
+        history = Trainer(make_model(), config).fit(
             toy_data(n=16, seed=1), test_data=toy_data(n=8, seed=2))
         # Epoch 1 sets the best test loss; epochs 2 and 3 fail to beat it.
         assert len(history.epochs) == 3
@@ -125,6 +61,14 @@ class TestTrainerSideControl:
     def test_data_parallel_workers_option_is_gone(self):
         with pytest.raises(TypeError, match="workers"):
             TrainConfig(epochs=1, workers=2)
+
+    def test_kernel_backend_option_is_gone(self):
+        with pytest.raises(TypeError, match="backend"):
+            TrainConfig(epochs=1, backend="numpy")
+
+    def test_strategy_argument_is_gone(self):
+        with pytest.raises(TypeError, match="strategy"):
+            Trainer(make_model(), TrainConfig(epochs=1), strategy=None)
 
 
 class TestEpochRecords:
@@ -169,12 +113,6 @@ class TestClipGradNormEdgeCases:
         norm_c = clip_grad_norm([c_param], max_norm=1e9)
         norm_f = clip_grad_norm([f_param], max_norm=1e9)
         assert norm_c == norm_f  # bitwise: sum order must not follow layout
-
-    def test_reexported_from_trainer_module(self):
-        from repro.training.strategies import clip_grad_norm as canonical
-        from repro.training.trainer import clip_grad_norm as reexport
-
-        assert reexport is canonical
 
 
 class TestEvaluatePrecisionScope:
