@@ -16,7 +16,7 @@ from repro.qnn import PatchedQuantumLayer, amplitude_encoder_circuit, patch_qubi
 from repro.quantum import (
     Circuit,
     backward,
-    compile_circuit,
+    compile_stacked,
     execute,
     gates,
     naive_backward,
@@ -131,8 +131,8 @@ def bench_adjoint_backward_8q_5layers_c64(benchmark):
 def bench_compiled_adjoint_unified(benchmark):
     """Unified adjoint of a single circuit at n=8, 3 SEL layers (Rot+ring).
 
-    The per-instance backward now runs on the stacked block substrate as a
-    degenerate p=1 stack: checkpointed cotangent-only walk, adjacent-wire
+    A single circuit's backward is the p=1 call of the stacked adjoint:
+    checkpointed cotangent-only walk, adjacent-wire
     4x4 kron pair blocks, and one transition-matrix contraction per fused
     block instead of one generator insertion per parameter.  Its speedup
     over the per-parameter generator baseline below is gated by
@@ -165,7 +165,7 @@ def bench_compiled_adjoint_unified_naive(benchmark):
 def bench_compile_plan_8q_5layers(benchmark):
     """Cold-compile cost of the SQ encoder patch plan (paid once per shape)."""
     circuit = _sel_circuit()
-    plan = benchmark(lambda: compile_circuit(circuit))
+    plan = benchmark(lambda: compile_stacked(circuit))
     assert plan.n_instructions < len(circuit.ops)
 
 
@@ -204,7 +204,7 @@ def bench_patched_encoder_forward_1024(benchmark):
     assert out.shape == (32, 32)
 
 
-def _patched_encoder(n_patches, stacked, batch=32, dtype=None):
+def _patched_encoder(n_patches, batch=32, dtype=None):
     """A paper-scale patched encoder (1024 features, 5 SEL layers) + batch."""
     rng = np.random.default_rng(5)
     qubits = patch_qubits(1024, n_patches)
@@ -214,7 +214,6 @@ def _patched_encoder(n_patches, stacked, batch=32, dtype=None):
         ),
         n_patches=n_patches,
         rng=rng,
-        stacked=stacked,
         dtype=dtype,
     )
     x = Tensor(
@@ -225,21 +224,31 @@ def _patched_encoder(n_patches, stacked, batch=32, dtype=None):
     return layer, x
 
 
-def _patched_step(layer, x):
+def _patched_step(layer, x, forward=None):
+    """One forward + backward through ``forward`` (the layer itself, i.e.
+    its stacked pass, by default)."""
+    forward = layer if forward is None else forward
+
     def step():
         layer.zero_grad()
         x.zero_grad()
-        out = layer(x)
+        out = forward(x)
         out.sum().backward()
         return out
 
     return step
 
 
+def _sequential_step(layer, x):
+    """The same pass on the per-patch loop, called directly: identical
+    patches always stack, so nothing else selects it."""
+    return _patched_step(layer, x, layer._forward_sequential)
+
+
 def bench_patched_fwd_bwd_p8(benchmark):
     """Stacked patched-encoder training pass (p=8): forward + backward in
     one engine invocation over a (8*32, 2**7) stacked state."""
-    layer, x = _patched_encoder(8, stacked=True)
+    layer, x = _patched_encoder(8)
     out = benchmark(_patched_step(layer, x))
     assert out.shape == (32, 56)
 
@@ -247,23 +256,23 @@ def bench_patched_fwd_bwd_p8(benchmark):
 def bench_patched_fwd_bwd_p8_naive(benchmark):
     """The same p=8 forward + backward on the sequential per-patch loop —
     the pre-stacking baseline the stacked speedup is measured against."""
-    layer, x = _patched_encoder(8, stacked=False)
-    out = benchmark(_patched_step(layer, x))
+    layer, x = _patched_encoder(8)
+    out = benchmark(_sequential_step(layer, x))
     assert out.shape == (32, 56)
 
 
 def bench_patched_fwd_bwd_p16(benchmark):
     """Stacked patched-encoder training pass at the paper's largest patch
     count (p=16): one (16*32, 2**6) pass instead of 16 engine calls."""
-    layer, x = _patched_encoder(16, stacked=True)
+    layer, x = _patched_encoder(16)
     out = benchmark(_patched_step(layer, x))
     assert out.shape == (32, 96)
 
 
 def bench_patched_fwd_bwd_p16_naive(benchmark):
     """The same p=16 forward + backward on the sequential per-patch loop."""
-    layer, x = _patched_encoder(16, stacked=False)
-    out = benchmark(_patched_step(layer, x))
+    layer, x = _patched_encoder(16)
+    out = benchmark(_sequential_step(layer, x))
     assert out.shape == (32, 96)
 
 
@@ -271,15 +280,15 @@ def bench_patched_fwd_bwd_p8_b8(benchmark):
     """Stacked p=8 training pass at minibatch 8 — the small-batch regime,
     where the per-patch loop is dominated by per-invocation overhead and
     stacking pays off the most."""
-    layer, x = _patched_encoder(8, stacked=True, batch=8)
+    layer, x = _patched_encoder(8, batch=8)
     out = benchmark(_patched_step(layer, x))
     assert out.shape == (8, 56)
 
 
 def bench_patched_fwd_bwd_p8_b8_naive(benchmark):
     """The same p=8 minibatch-8 pass on the sequential per-patch loop."""
-    layer, x = _patched_encoder(8, stacked=False, batch=8)
-    out = benchmark(_patched_step(layer, x))
+    layer, x = _patched_encoder(8, batch=8)
+    out = benchmark(_sequential_step(layer, x))
     assert out.shape == (8, 56)
 
 
@@ -289,7 +298,7 @@ def bench_patched_fwd_bwd_p8_c64(benchmark):
     arrays saturate memory bandwidth at complex128; halving the bytes per
     kernel is the precision policy's headline win (ratio vs. the complex128
     ``bench_patched_fwd_bwd_p8`` is recorded as a ``_c64`` speedup)."""
-    layer, x = _patched_encoder(8, stacked=True, dtype="float32")
+    layer, x = _patched_encoder(8, dtype="float32")
     out = benchmark(_patched_step(layer, x))
     assert out.shape == (32, 56)
     assert out.data.dtype == np.float32
@@ -297,7 +306,7 @@ def bench_patched_fwd_bwd_p8_c64(benchmark):
 
 def bench_patched_fwd_bwd_p16_c64(benchmark):
     """Stacked p=16/batch=32 training pass at float32/complex64."""
-    layer, x = _patched_encoder(16, stacked=True, dtype="float32")
+    layer, x = _patched_encoder(16, dtype="float32")
     out = benchmark(_patched_step(layer, x))
     assert out.shape == (32, 96)
     assert out.data.dtype == np.float32

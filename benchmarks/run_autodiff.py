@@ -1,45 +1,35 @@
-"""Autodiff-regression runner: time the tape vs the closure design.
+"""Autodiff-regression runner: time the compiled tape plan vs its reference.
 
-The tape refactor replaced per-op backward closures with a recorded graph
-of registered primitives (:mod:`repro.nn.autodiff`).  That swap must not
-tax the classical training step: this runner times identical
-forward+backward workloads on the new tape ``Tensor`` and on the frozen
-pre-refactor closure implementation vendored in
-:mod:`closure_baseline`, derives tape-vs-closure speedups for every
-``<name>`` / ``<name>_closure`` pair, and writes everything to
-``BENCH_autodiff.json`` at the repo root — the file future PRs diff
-against.
+``Tensor.backward`` runs a cached ``GraphPlan`` (:mod:`repro.nn.graph`):
+the recorded tape lowered once into a flat program with fused elementwise
+runs, plan-owned cotangent/edge/temp buffers, and matmul ``out=`` edges.
+This runner times the same training step with its backward on that plan
+and on the interpreted reference walk
+(:func:`repro.nn.autodiff.naive_backward_pass`), derives
+compiled-vs-tape speedups, and writes everything to ``BENCH_autodiff.json``
+at the repo root — the file future PRs diff against.
 
-Paired workloads are timed *interleaved*: each round runs the tape step
-then the closure step back to back, and the reported speedup is the
-median of the per-round ratios.  Adjacent steps see the same machine
-state, so the ratio is insensitive to the CPU-frequency drift that makes
-two separately-timed minima incomparable on shared runners — which
-matters here because the floors are parity (1.0x), not a wide multiple.
+Pairs are timed *interleaved*: each round runs the reference step then the
+compiled step back to back, and the reported speedup is the median of the
+per-round ratios.  Adjacent steps see the same machine state, so the ratio
+is insensitive to the CPU-frequency drift that makes two separately-timed
+minima incomparable on shared runners.  The ratios land in
+``speedup_compiled_vs_tape`` and carry real multiples in
+:data:`COMPILED_FLOORS` — the compiler exists to win, not to break even —
+on three workloads: a deep tanh MLP, a long elementwise chain, and a hybrid
+train step (patched quantum amplitude encoder feeding a deep classical
+decoder, the MolQAE-style shape).
 
-A second family of pairs gates the tape *compiler*
-(:mod:`repro.nn.graph`): the same step timed with ``set_tape_compile``
-off (the reference tape walk) and on (the cached ``GraphPlan`` with fused
-elementwise runs, plan-owned cotangent/edge/temp buffers, and matmul
-``out=`` edges).  Those ratios land in ``speedup_compiled_vs_tape`` and
-carry real multiples in :data:`COMPILED_FLOORS` — the compiler exists to
-win, not to break even — on three workloads: a deep tanh MLP, a long
-elementwise chain, and a hybrid train step (patched quantum amplitude
-encoder feeding a deep classical decoder, the MolQAE-style shape).
-
-Alongside the paired workloads it records two absolute timings with no
-baseline pair: the full SQ-AE hybrid train step (the number that matters
-end to end; quantum statevector work dominates it, so it is tracked
-absolute rather than floored against the compiler) and a Hessian-vector
-product on an MLP (the higher-order capability the tape added; the
-closure design cannot run it at all).
+Alongside the pairs it records two absolute timings with no baseline: the
+full SQ-AE hybrid train step (the number that matters end to end; quantum
+statevector work dominates it, so it is tracked absolute rather than
+floored against the compiler) and a Hessian-vector product on an MLP (the
+higher-order capability of the tape).
 
 Each payload is stamped with the git commit it was generated at plus the
-CPU count and BLAS vendor (floors are only meaningful on comparable
-machines), and ``--check`` turns the runner into a perf-regression gate:
-it fails (exit 1) when any measured tape-vs-closure speedup drops below
-its floor in :data:`SPEEDUP_FLOORS` (parity, 1.0x — the tape refactor's
-contract is "no classical-step overhead") or any compiled-vs-tape
+CPU count, BLAS vendor and BLAS thread count (floors are only meaningful
+on comparable machines), and ``--check`` turns the runner into a
+perf-regression gate: it fails (exit 1) when any measured compiled-vs-tape
 speedup drops below its floor in :data:`COMPILED_FLOORS`.
 
 Usage::
@@ -66,26 +56,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_machine import machine_stamp  # noqa: E402
+from repro.nn.autodiff import naive_backward_pass  # noqa: E402
 
-_CLOSURE_SUFFIX = "_closure"
-
-# Floors asserted by --check: the measured speedup of each tape workload
-# over its ``*_closure`` twin must stay at or above these.  Both sit at
-# exactly 1.0 by design — the tape refactor promised gradient parity at no
-# classical-step cost, so the gate is "never slower than the design it
-# replaced" rather than a headline win.  (Measured medians land at
-# ~1.05-1.3x: the tape's generic walk skips per-op closure allocation and
-# adopts intermediate cotangents without the defensive copy the closure
-# design paid per node.)
-SPEEDUP_FLOORS = {
-    "bench_mlp_fwd_bwd": 1.0,
-    "bench_elementwise_chain_fwd_bwd": 1.0,
-}
-
-# Floors for the compiled-vs-tape pairs: unlike the parity floors above,
-# the plan compiler must deliver a real multiple over the walk it caches.
-# Set from measured medians (~1.39x / ~1.76x / ~1.40x on the reference
-# 1-core OpenBLAS runner) with margin for scheduler noise.  The hybrid
+# Floors asserted by --check: the plan compiler must deliver a real
+# multiple over the walk it caches.  Set from measured medians (~1.39x /
+# ~1.76x / ~1.40x on the reference 1-core OpenBLAS runner) with margin for
+# scheduler noise.  The hybrid
 # floor is the lowest: the quantum encoder's statevector passes run as
 # one opaque VJP node on both sides of the ratio and dilute the classical
 # win the compiler is responsible for.
@@ -158,102 +134,15 @@ def _stats(times: list) -> dict:
     }
 
 
-def run_pair(builder, rounds: int):
-    """Time a paired workload interleaved: tape step, closure step, repeat.
-
-    Returns ``(tape_stats, closure_stats, median_ratio)`` where the ratio
-    is closure-time / tape-time per round — the drift-insensitive speedup
-    the floors gate on.
-    """
-    from repro.nn.tensor import Tensor
-    from closure_baseline import ClosureTensor
-
-    tape_step = builder(Tensor)
-    closure_step = builder(ClosureTensor)
-    tape_step()  # warmup both sides
-    closure_step()
-    tape_times, closure_times, ratios = [], [], []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        tape_step()
-        t1 = time.perf_counter()
-        closure_step()
-        t2 = time.perf_counter()
-        tape_times.append(t1 - t0)
-        closure_times.append(t2 - t1)
-        ratios.append((t2 - t1) / (t1 - t0))
-    return _stats(tape_times), _stats(closure_times), statistics.median(ratios)
-
-
 # ----------------------------------------------------------------------
-# Paired workloads: identical math on the tape Tensor and the frozen
-# closure baseline.  Each builder takes the tensor class and returns a
-# zero-arg step closure doing one full forward+backward; parameters
-# persist across rounds (grads are cleared each step) so what gets timed
-# is the steady-state training cost.
-# ----------------------------------------------------------------------
-
-_MLP_DIMS = (128, 256, 64)  # in -> hidden -> out
-_MLP_BATCH = 64
-_CHAIN_SHAPE = (64, 128)
-_CHAIN_DEPTH = 30
-
-
-def _mlp_step(tensor_cls):
-    rng = np.random.default_rng(0)
-    d_in, d_hidden, d_out = _MLP_DIMS
-    x = tensor_cls(rng.normal(size=(_MLP_BATCH, d_in)))
-    y = tensor_cls(rng.normal(size=(_MLP_BATCH, d_out)))
-    w1 = tensor_cls(rng.normal(size=(d_in, d_hidden)) * 0.1, requires_grad=True)
-    b1 = tensor_cls(np.zeros(d_hidden), requires_grad=True)
-    w2 = tensor_cls(rng.normal(size=(d_hidden, d_out)) * 0.1, requires_grad=True)
-    b2 = tensor_cls(np.zeros(d_out), requires_grad=True)
-    params = (w1, b1, w2, b2)
-    scale = 1.0 / (_MLP_BATCH * d_out)
-
-    def step():
-        for p in params:
-            p.zero_grad()
-        hidden = (x @ w1 + b1).relu()
-        pred = hidden @ w2 + b2
-        loss = ((pred - y) ** 2).sum() * scale
-        loss.backward()
-        return w1.grad
-
-    return step
-
-
-def _chain_step(tensor_cls):
-    rng = np.random.default_rng(1)
-    t0 = tensor_cls(rng.normal(size=_CHAIN_SHAPE), requires_grad=True)
-
-    def step():
-        t0.zero_grad()
-        t = t0
-        for _ in range(_CHAIN_DEPTH):
-            t = (t * 0.9 + 0.05).tanh()
-            t = t.sigmoid() * t
-        (t * t).sum().backward()
-        return t0.grad
-
-    return step
-
-
-# ``<name>`` / ``<name>_closure`` stats pairs come from these builders,
-# timed interleaved by :func:`run_pair`.
-PAIRED_BENCHES = {
-    "bench_mlp_fwd_bwd": _mlp_step,
-    "bench_elementwise_chain_fwd_bwd": _chain_step,
-}
-
-
-# ----------------------------------------------------------------------
-# Compiled-vs-tape workloads: one tape step timed with the plan compiler
-# off (reference walk) and on, interleaved.  Shapes are chosen where the
-# compiler's levers actually engage — wide tanh activations (fused runs +
-# staged kernel temps), narrow/wide matmul edges (``out=`` GEMM into
-# plan-owned buffers) — because bit-identity forbids the compiler from
-# changing the math, so all of its win is allocation and dispatch.
+# Compiled-vs-tape workloads: one training step timed with its backward
+# on the reference walk and on the cached plan, interleaved.  Shapes are
+# chosen where the compiler's levers actually engage — wide tanh
+# activations (fused runs + staged kernel temps), narrow/wide matmul edges
+# (``out=`` GEMM into plan-owned buffers) — because bit-identity forbids
+# the compiler from changing the math, so all of its win is allocation and
+# dispatch.  Each builder returns ``step(backward)``, where ``backward``
+# runs the scalar loss's backward pass.
 # ----------------------------------------------------------------------
 
 _CMLP_DIMS = (8, 512, 8, 512, 8, 512, 8)  # tanh hourglass
@@ -277,14 +166,14 @@ def _compiled_mlp_step():
     x = Tensor(rng.normal(size=(_CMLP_BATCH, _CMLP_DIMS[0])))
     scale = 1.0 / _CMLP_BATCH
 
-    def step():
+    def step(backward):
         h = x
         for i, (w, b) in enumerate(zip(ws, bs)):
             h = h @ w + b
             if i < len(ws) - 1:
                 h = h.tanh()
         loss = (h * h).sum() * scale
-        loss.backward()
+        backward(loss)
         grad = ws[0].grad
         for p in params:
             p.grad = None
@@ -299,11 +188,11 @@ def _compiled_chain_step():
 
     t0 = Tensor(rng.normal(size=_CCHAIN_SHAPE), requires_grad=True)
 
-    def step():
+    def step(backward):
         t = t0
         for _ in range(_CCHAIN_DEPTH):
             t = (t * 0.98).tanh()
-        t.sum().backward()
+        backward(t.sum())
         grad = t0.grad
         t0.grad = None
         return grad
@@ -354,10 +243,10 @@ def _compiled_hybrid_step():
     optimizer = SGD(model.parameters(), lr=0.001)
     x = Tensor(rng.normal(size=(batch, input_dim)))
 
-    def step():
+    def step(backward):
         optimizer.zero_grad(set_to_none=True)
         loss = mse_loss(model(x), x)
-        loss.backward()
+        backward(loss)
         optimizer.step()
         return loss.data
 
@@ -371,37 +260,35 @@ COMPILED_BENCHES = {
 }
 
 
+def _compiled_backward(loss):
+    loss.backward()
+
+
+def _reference_backward(loss):
+    naive_backward_pass(loss, np.ones_like(loss.data))
+
+
 def run_compiled_pair(builder, rounds: int):
-    """Time one workload interleaved with the plan compiler off then on.
+    """Time one workload interleaved: reference walk, then compiled plan.
 
     Returns ``(tape_stats, compiled_stats, median_ratio)`` where the
-    ratio is tape-time / compiled-time per round.  Same drift-insensitive
-    shape as :func:`run_pair`; the global compile toggle is restored on
-    exit so the runner never leaks state into later benchmarks.
+    ratio is tape-time / compiled-time per round, the drift-insensitive
+    speedup the floors gate on.
     """
-    from repro.nn import graph
-
     step = builder()
-    was_enabled = graph.tape_compile_enabled()
-    try:
-        graph.set_tape_compile(True)
-        step()  # warmup both sides (also populates the plan cache)
-        graph.set_tape_compile(False)
-        step()
-        tape_times, compiled_times, ratios = [], [], []
-        for _ in range(rounds):
-            graph.set_tape_compile(False)
-            t0 = time.perf_counter()
-            step()
-            t1 = time.perf_counter()
-            graph.set_tape_compile(True)
-            step()
-            t2 = time.perf_counter()
-            tape_times.append(t1 - t0)
-            compiled_times.append(t2 - t1)
-            ratios.append((t1 - t0) / (t2 - t1))
-    finally:
-        graph.set_tape_compile(was_enabled)
+    # Warm up both sides; the compiled one also populates the plan cache.
+    step(_compiled_backward)
+    step(_reference_backward)
+    tape_times, compiled_times, ratios = [], [], []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        step(_reference_backward)
+        t1 = time.perf_counter()
+        step(_compiled_backward)
+        t2 = time.perf_counter()
+        tape_times.append(t1 - t0)
+        compiled_times.append(t2 - t1)
+        ratios.append((t1 - t0) / (t2 - t1))
     return (
         _stats(tape_times),
         _stats(compiled_times),
@@ -410,9 +297,12 @@ def run_compiled_pair(builder, rounds: int):
 
 
 # ----------------------------------------------------------------------
-# Absolute timings (no closure pair): the end-to-end hybrid train step the
-# refactor must not tax, and the higher-order capability it added.
+# Absolute timings (no pair): the end-to-end hybrid train step, and the
+# tape's higher-order capability.
 # ----------------------------------------------------------------------
+
+_MLP_DIMS = (128, 256, 64)  # in -> hidden -> out
+_MLP_BATCH = 64
 
 
 def bench_hybrid_train_step(benchmark):
@@ -441,8 +331,7 @@ def bench_hybrid_train_step(benchmark):
 
 
 def bench_hvp_mlp(benchmark):
-    """Hessian-vector product through the MLP workload — grad-of-grad on
-    the tape; the closure design had no equivalent."""
+    """Hessian-vector product through an MLP — grad-of-grad on the tape."""
     from repro.nn import Tensor, hvp
 
     rng = np.random.default_rng(4)
@@ -488,27 +377,14 @@ def main(argv=None) -> int:
                         default=REPO_ROOT / "BENCH_autodiff.json")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if any measured speedup falls below its "
-                             "floor in SPEEDUP_FLOORS")
+                             "floor in COMPILED_FLOORS")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
     results: dict[str, dict] = {}
-    measured: dict[str, float] = {}
     measured_compiled: dict[str, float] = {}
     ran = 0
-    for name, builder in sorted(PAIRED_BENCHES.items()):
-        if args.only and args.only not in name:
-            continue
-        tape_stats, closure_stats, ratio = run_pair(builder, args.rounds)
-        results[name] = tape_stats
-        results[name + _CLOSURE_SUFFIX] = closure_stats
-        measured[name] = round(ratio, 3)
-        ran += 1
-        print(f"{name:44s} min {tape_stats['min_s'] * 1e3:10.3f} ms  "
-              f"vs closure {closure_stats['min_s'] * 1e3:10.3f} ms  "
-              f"median ratio {ratio:6.3f}x", file=sys.stderr)
-
     for name, builder in sorted(COMPILED_BENCHES.items()):
         if args.only and args.only not in name:
             continue
@@ -542,31 +418,25 @@ def main(argv=None) -> int:
         **machine_stamp(),
         "rounds": args.rounds,
         "benchmarks": results,
-        "speedup_tape_vs_closure": measured,
         "speedup_compiled_vs_tape": measured_compiled,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}", file=sys.stderr)
 
     if args.check:
-        gates = (
-            ("tape-vs-closure", SPEEDUP_FLOORS, measured),
-            ("compiled-vs-tape", COMPILED_FLOORS, measured_compiled),
-        )
+        for name in sorted(set(COMPILED_FLOORS) - set(measured_compiled)):
+            print(f"warning: floored benchmark {name} was not measured "
+                  f"(filtered by --only?)", file=sys.stderr)
         checked = 0
         failures = []
-        for label, floors, got_map in gates:
-            for name in sorted(set(floors) - set(got_map)):
-                print(f"warning: floored benchmark {name} was not measured "
-                      f"(filtered by --only?)", file=sys.stderr)
-            for name, floor in sorted(floors.items()):
-                if name not in got_map:
-                    continue
-                checked += 1
-                if got_map[name] < floor:
-                    failures.append((label, name, got_map[name], floor))
-        for label, name, got, floor in failures:
-            print(f"REGRESSION {name}: {label} speedup {got:.2f}x "
+        for name, floor in sorted(COMPILED_FLOORS.items()):
+            if name not in measured_compiled:
+                continue
+            checked += 1
+            if measured_compiled[name] < floor:
+                failures.append((name, measured_compiled[name], floor))
+        for name, got, floor in failures:
+            print(f"REGRESSION {name}: compiled-vs-tape speedup {got:.2f}x "
                   f"below floor {floor:.2f}x", file=sys.stderr)
         if failures:
             return 1

@@ -2,25 +2,24 @@
 """Compiled backward plans: the lower-once/run-many classical tape.
 
 Every training step re-records a structurally identical autodiff tape,
-so ``repro.nn.graph`` lowers it once into a cached backward program
-(fused elementwise VJP chains, flattened dispatch, plan-owned cotangent
-and GEMM buffers) and replays that program on steps 2+.  Gradients are
-bit-identical to the interpreted walk — the compiler only removes
+so ``Tensor.backward`` lowers it once into a cached backward program
+(``repro.nn.graph``: fused elementwise VJP chains, flattened dispatch,
+plan-owned cotangent and GEMM buffers) and replays that program on steps
+2+.  Gradients are bit-identical to the interpreted reference walk,
+``repro.nn.autodiff.naive_backward_pass`` — the compiler only removes
 allocation and dispatch, never changes the math.
 
-This script demonstrates the three user-facing surfaces:
+This script demonstrates:
 
-1. the global toggle — ``REPRO_TAPE_COMPILE=0`` in the environment, or
-   ``repro.nn.tape_compile(False)`` as a scope;
-2. the plan cache — step 1 is a miss that lowers, steps 2+ are hits
+1. the plan cache — step 1 is a miss that lowers, steps 2+ are hits
    (``repro.nn.plan_cache_stats()``);
+2. bit-identical gradients against the reference walk;
 3. the measured per-step win on a deep tanh autoencoder-style MLP,
-   timed interleaved (one uncompiled step, one compiled step, repeat)
+   timed interleaved (one reference step, one compiled step, repeat)
    so machine drift cannot bias the ratio.
 
 Run:
     python examples/compiled_training.py
-    REPRO_TAPE_COMPILE=0 python examples/compiled_training.py  # all-off
 """
 
 from __future__ import annotations
@@ -32,11 +31,23 @@ import time
 import numpy as np
 
 from repro import nn
-from repro.nn import graph
+from repro.nn.autodiff import naive_backward_pass
+
+
+def compiled(loss):
+    loss.backward()
+
+
+def reference(loss):
+    naive_backward_pass(loss, np.ones_like(loss.data))
 
 
 def build_step(rng):
-    """One steady-state train step of a deep tanh hourglass MLP."""
+    """One steady-state train step of a deep tanh hourglass MLP.
+
+    ``step(backward)`` runs the forward pass, hands the scalar loss to
+    ``backward`` (``compiled`` or ``reference``), and applies SGD.
+    """
     dims = (8, 512, 8, 512, 8, 512, 8)
     batch = 384
     ws = [
@@ -48,7 +59,7 @@ def build_step(rng):
     x = nn.Tensor(rng.normal(size=(batch, dims[0])))
     opt = nn.SGD(params, lr=1e-3)
 
-    def step():
+    def step(backward):
         opt.zero_grad(set_to_none=True)
         h = x
         for i, (w, b) in enumerate(zip(ws, bs)):
@@ -56,9 +67,9 @@ def build_step(rng):
             if i < len(ws) - 1:
                 h = h.tanh()
         loss = (h * h).sum() * (1.0 / batch)
-        loss.backward()
+        backward(loss)
         opt.step()
-        return float(loss.data)
+        return float(loss.data), ws[0].data.copy()
 
     return step
 
@@ -67,46 +78,37 @@ def main() -> None:
     rounds = int(os.environ.get("ROUNDS", 40))
     step = build_step(np.random.default_rng(0))
 
-    print(f"tape compile enabled: {graph.tape_compile_enabled()} "
-          f"(REPRO_TAPE_COMPILE={os.environ.get('REPRO_TAPE_COMPILE', '<unset>')})")
-
     # -- plan cache: one miss to lower, then pure hits ------------------
-    graph.clear_plan_cache()
-    with graph.tape_compile(True):
-        for _ in range(5):
-            step()
-    stats = graph.plan_cache_stats()
+    nn.clear_plan_cache()
+    for _ in range(5):
+        step(compiled)
+    stats = nn.plan_cache_stats()
     print(f"plan cache after 5 steps: {stats['misses']} miss (lowered once), "
           f"{stats['hits']} hits, {stats['size']} cached plan(s)")
 
-    # -- gradient equivalence: compiled == interpreted, bitwise ---------
-    probe = build_step(np.random.default_rng(1))
-    with graph.tape_compile(False):
-        loss_ref = probe()
-    with graph.tape_compile(True):
-        loss_com = build_step(np.random.default_rng(1))()
-    print(f"first-step loss interpreted {loss_ref:.12f} vs "
-          f"compiled {loss_com:.12f} (bit-identical math)")
+    # -- gradient equivalence: compiled == reference, bitwise -----------
+    steps = [build_step(np.random.default_rng(1)) for _ in range(2)]
+    loss_ref, w_ref = steps[0](reference)
+    loss_com, w_com = steps[1](compiled)
+    print(f"first-step loss reference {loss_ref:.12f} vs "
+          f"compiled {loss_com:.12f}; updated weights bit-identical: "
+          f"{np.array_equal(w_ref, w_com)}")
 
     # -- the measured win, interleaved ----------------------------------
-    with graph.tape_compile(True):
-        step()  # warm both plan cache and allocator
-    with graph.tape_compile(False):
-        step()
-    ratios, t_off, t_on = [], [], []
+    step(compiled)  # warm both plan cache and allocator
+    step(reference)
+    ratios, t_ref, t_com = [], [], []
     for _ in range(rounds):
-        with graph.tape_compile(False):
-            t0 = time.perf_counter()
-            step()
-            t1 = time.perf_counter()
-        with graph.tape_compile(True):
-            step()
-            t2 = time.perf_counter()
-        t_off.append(t1 - t0)
-        t_on.append(t2 - t1)
+        t0 = time.perf_counter()
+        step(reference)
+        t1 = time.perf_counter()
+        step(compiled)
+        t2 = time.perf_counter()
+        t_ref.append(t1 - t0)
+        t_com.append(t2 - t1)
         ratios.append((t1 - t0) / (t2 - t1))
-    print(f"interpreted walk {1e3 * statistics.median(t_off):7.2f} ms/step")
-    print(f"compiled plan    {1e3 * statistics.median(t_on):7.2f} ms/step")
+    print(f"reference walk   {1e3 * statistics.median(t_ref):7.2f} ms/step")
+    print(f"compiled plan    {1e3 * statistics.median(t_com):7.2f} ms/step")
     print(f"median speedup   {statistics.median(ratios):7.2f}x "
           f"over {rounds} interleaved rounds")
 

@@ -167,12 +167,13 @@ def _run(names: list[str], seed: int, workers: int) -> None:
         except BaseException:
             # Python 3.14's ProcessPoolExecutor.terminate_workers() does
             # this; shutdown() alone would wait for the running experiments.
-            processes = list(pool._processes.values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for process in processes:
+            # Only the executor's manager thread reaps the terminated
+            # workers, and shutdown(wait=True) waits for it: a second
+            # join() from this thread could lose the waitpid race and
+            # return before the exit is recorded, leaving the worker listed.
+            for process in list(pool._processes.values()):
                 process.terminate()
-            for process in processes:
-                process.join()
+            pool.shutdown(wait=True, cancel_futures=True)
             raise
 
 

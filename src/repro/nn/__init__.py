@@ -11,14 +11,7 @@ from . import functional
 from . import graph
 from . import init
 from .autodiff import enable_grad, grad, hvp
-from .graph import (
-    GraphPlan,
-    clear_plan_cache,
-    plan_cache_stats,
-    set_tape_compile,
-    tape_compile,
-    tape_compile_enabled,
-)
+from .graph import GraphPlan, clear_plan_cache, plan_cache_stats
 from .modules import (
     Identity,
     Lambda,
@@ -56,9 +49,6 @@ __all__ = [
     "hvp",
     "graph",
     "GraphPlan",
-    "tape_compile",
-    "tape_compile_enabled",
-    "set_tape_compile",
     "plan_cache_stats",
     "clear_plan_cache",
     "Module",

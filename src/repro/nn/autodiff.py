@@ -12,22 +12,22 @@ pieces:
 * a :class:`Node` recorded on each output tensor: the primitive, the
   operand tensors, their raw arrays, and the non-differentiable parameters
   — everything a VJP needs, with no per-call closure allocation;
-* one generic topological backward walk shared by every op, classical or
+* one backward walk per interface, shared by every op, classical or
   quantum (:func:`backward_pass` for ``Tensor.backward``'s ``.grad``
   semantics, :func:`grad` for the functional interface).
 
-On top of the walk sits a *compile layer* (:mod:`repro.nn.graph`): since
-training steps re-record structurally identical tapes, both
-:func:`backward_pass` and the fast path of :func:`grad` consult a plan
-cache keyed on the tape's structural signature.  Step 1 lowers the tape
-into a flat backward program (flattened VJP dispatch, fused elementwise
-chains, reusable cotangent buffers); steps 2+ run the cached program.
-The walks in this module remain the *reference semantics* — the compiled
-program is bit-identical to them by construction and by differential
-test, and ``REPRO_TAPE_COMPILE=0`` (or ``tape_compile(False)``) routes
-everything back through them.  The ``create_graph`` walks never compile:
-they re-record VJPs onto a fresh tape, so each run is structurally new
-work by design.
+``Tensor.backward`` runs through a *compile layer* (:mod:`repro.nn.graph`):
+since training steps re-record structurally identical tapes,
+:func:`backward_pass` looks the tape up in a plan cache keyed on its
+structural signature.  Step 1 lowers the tape into a flat backward
+program (flattened VJP dispatch, fused elementwise chains, reusable
+cotangent buffers); steps 2+ run the cached program.  The interpreted
+loop it replaced stays as :func:`naive_backward_pass`, the reference
+semantics the program is bit-identical to by construction and by
+differential test; nothing in the library calls it.  :func:`grad` always
+runs the interpreted :func:`_cotangent_walk`: its ``create_graph`` mode
+re-records VJPs onto a fresh tape, so each run is structurally new work
+by design, and no workload trains through it.
 
 VJPs are *dual-mode*: the registry functions receive raw numpy arrays
 during an ordinary first-order backward (no wrapper overhead on the hot
@@ -59,6 +59,7 @@ __all__ = [
     "is_grad_enabled",
     "topo_order",
     "backward_pass",
+    "naive_backward_pass",
     "grad",
     "hvp",
     "register_tensor_type",
@@ -245,66 +246,86 @@ def topo_order(root) -> list:
     return order
 
 
-def backward_pass(root, seed: np.ndarray, retain_graph: bool = False) -> None:
-    """Propagate ``seed`` from ``root`` into every leaf's ``.grad`` buffer.
+def _walk_tape(root, seed, retain_graph, walk) -> None:
+    """Shared frame of the two ``.grad`` walks.
 
-    This is the walk behind :meth:`Tensor.backward`: intermediate (non-leaf)
-    gradients are cleared up front so ``retain_graph`` reruns are correct,
-    accumulation happens through ``Tensor._accumulate`` (which owns the
-    precision policy's grad dtype), and the graph is torn down afterwards
-    unless ``retain_graph`` is set.
-
-    Intermediate cotangents are transient: each one is released the moment
-    its node's VJPs have consumed it, so only leaves carry a ``.grad``
-    after the walk and peak memory is bounded by the graph *frontier*, not
-    the whole tape.
-
-    When tape compilation is enabled (the default — see
-    :mod:`repro.nn.graph`), the walk body is replaced by a cached
-    :class:`~repro.nn.graph.GraphPlan` lowered from the tape's structure;
-    the interpreted loop below stays as the reference implementation the
-    plan is bit-identical to.
+    Intermediate (non-leaf) gradients are cleared up front so
+    ``retain_graph`` reruns are correct (torch semantics), ``walk(root,
+    order, seed)`` propagates, and the graph is torn down afterwards unless
+    ``retain_graph`` is set.
     """
     if root._node is None:
         # Leaf root: no graph to walk, the seed is the gradient.
         root._accumulate(seed)
         return
     order = topo_order(root)
-    # Intermediate (non-leaf) gradients are not retained across backward
-    # passes — mirror torch semantics so retain_graph reruns are correct.
     for t in order:
         if t._node is not None:
             t.grad = None
-    if _graph.tape_compile_enabled():
-        _graph.plan_for_backward(order).run_backward(order, seed)
-    else:
-        root._accumulate(seed)
-        for t in reversed(order):
-            node = t._node
-            if node is None or t.grad is None:
-                continue
-            g = t.grad
-            # Release on consume: this node's cotangent is dead once its
-            # VJPs have read ``g``.
-            t.grad = None
-            prim = node.prim
-            if prim.vjp_all is not None:
-                argnums = tuple(a for a, __ in node.parents)
-                grads = prim.vjp_all(g, t.data, node.vals, node.params,
-                                     argnums)
-                for (__, parent), pg in zip(node.parents, grads):
-                    if pg is not None and parent.requires_grad:
-                        parent._accumulate(pg)
-            else:
-                vjps = prim.vjps
-                for argnum, parent in node.parents:
-                    if parent.requires_grad:
-                        parent._accumulate(
-                            vjps[argnum](g, t.data, node.vals, node.params)
-                        )
+    walk(root, order, seed)
     if not retain_graph:
         for t in order:
             t._node = None
+
+
+def _run_plan(root, order, seed) -> None:
+    _graph.plan_for_backward(order).run_backward(order, seed)
+
+
+def _interpret(root, order, seed) -> None:
+    root._accumulate(seed)
+    for t in reversed(order):
+        node = t._node
+        if node is None or t.grad is None:
+            continue
+        g = t.grad
+        # Release on consume: this node's cotangent is dead once its VJPs
+        # have read ``g``.
+        t.grad = None
+        prim = node.prim
+        if prim.vjp_all is not None:
+            argnums = tuple(a for a, __ in node.parents)
+            grads = prim.vjp_all(g, t.data, node.vals, node.params, argnums)
+            for (__, parent), pg in zip(node.parents, grads):
+                if pg is not None and parent.requires_grad:
+                    parent._accumulate(pg)
+        else:
+            vjps = prim.vjps
+            for argnum, parent in node.parents:
+                if parent.requires_grad:
+                    parent._accumulate(
+                        vjps[argnum](g, t.data, node.vals, node.params)
+                    )
+
+
+def backward_pass(root, seed: np.ndarray, retain_graph: bool = False) -> None:
+    """Propagate ``seed`` from ``root`` into every leaf's ``.grad`` buffer.
+
+    This is the walk behind :meth:`Tensor.backward`: intermediate (non-leaf)
+    gradients are cleared up front so ``retain_graph`` reruns are correct,
+    leaf accumulation follows ``Tensor._accumulate`` (which owns the
+    precision policy's grad dtype), and the graph is torn down afterwards
+    unless ``retain_graph`` is set.  The walk body is the cached
+    :class:`~repro.nn.graph.GraphPlan` lowered from the tape's structure;
+    intermediate cotangents live in the plan, so only leaves carry a
+    ``.grad`` after the walk.
+    """
+    _walk_tape(root, seed, retain_graph, _run_plan)
+
+
+def naive_backward_pass(
+    root, seed: np.ndarray, retain_graph: bool = False
+) -> None:
+    """Reference for :func:`backward_pass`: the interpreted tape walk.
+
+    Same semantics, one registered VJP call per edge and every
+    contribution through ``Tensor._accumulate``.  Intermediate cotangents
+    are released the moment their node's VJPs have consumed them, so peak
+    memory is bounded by the graph *frontier*, not the whole tape.  The
+    compiled plan is bit-identical to this walk; tests and the autodiff
+    benchmark compare against it.
+    """
+    _walk_tape(root, seed, retain_graph, _interpret)
 
 
 def _node_grad_pairs(node, g, ans, operands):
@@ -412,11 +433,8 @@ def grad(
     order = topo_order(output)
     tensor_cls = _tensor_cls()
     if create_graph:
-        cot = _cotangent_walk(output, tensor_cls(seed), order, True)
-    elif _graph.tape_compile_enabled() and output._node is not None:
-        cot = _graph.plan_for_grad(order, targets).run_grad(order, seed)
-    else:
-        cot = _cotangent_walk(output, seed, order, False)
+        seed = tensor_cls(seed)
+    cot = _cotangent_walk(output, seed, order, create_graph)
     if not retain:
         for t in order:
             t._node = None

@@ -5,8 +5,7 @@ generic walk in :mod:`repro.nn.autodiff` re-derives the same dispatch
 decisions per step: which VJP to call for each node, which parents
 receive gradients, whether a contribution is the first into a buffer.
 This module gives the classical tape the same lower-once/run-many
-treatment the quantum engine gives circuits (``compiled_plan`` /
-``stacked_plan``):
+treatment the quantum engine gives circuits (``stacked_plan``):
 
 * :func:`tape_signature` fingerprints a tape structurally — primitive
   sequence, operand shapes/dtypes, parent wiring, and the current
@@ -25,10 +24,10 @@ treatment the quantum engine gives circuits (``compiled_plan`` /
   proves it safe (see ``_OWN_*`` below); gradients stay bit-identical to
   the uncompiled walk because every fused kernel performs the exact same
   numpy operations in the exact same order, merely in place.
-* Two further buffer families kill the remaining per-step allocations in
-  backward mode: 2-d matmul VJP edges whose reference form is a bare
-  GEMM write straight into plan-owned edge buffers (``out=`` runs the
-  identical dgemm), and fused runs carry one staging temp so
+* Two further buffer families kill the remaining per-step allocations:
+  2-d matmul VJP edges whose reference form is a bare GEMM write
+  straight into plan-owned edge buffers (``out=`` runs the identical
+  dgemm), and fused runs carry one staging temp so
   ``tanh``/``sigmoid``/``pow_const`` kernels stop allocating their
   shape-of-gradient intermediate.  View-shaped VJPs
   (transpose/reshape/astype return a view of the incoming cotangent)
@@ -37,10 +36,11 @@ treatment the quantum engine gives circuits (``compiled_plan`` /
 
 Plans are cached globally on their signature; :func:`plan_cache_stats`
 exposes hit/miss/compile counters so tests can assert that steps 2+ of a
-training loop never re-lower.  Compilation is on by default and can be
-disabled with ``REPRO_TAPE_COMPILE=0`` (or per scope via
-:func:`tape_compile`); the uncompiled walk remains the reference the
-compiled path is differentially tested against.
+training loop never re-lower.  ``Tensor.backward`` always runs the cached
+plan; the interpreted walk
+(:func:`repro.nn.autodiff.naive_backward_pass`) is the reference it is
+differentially tested against, and nothing in the library selects it.
+The functional :func:`repro.nn.autodiff.grad` does not use plans.
 
 Ownership levels
 ----------------
@@ -59,8 +59,6 @@ is allowed to mutate:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .precision import default_precision, grad_dtype
@@ -69,12 +67,8 @@ __all__ = [
     "GraphPlan",
     "tape_signature",
     "plan_for_backward",
-    "plan_for_grad",
     "plan_cache_stats",
     "clear_plan_cache",
-    "tape_compile_enabled",
-    "set_tape_compile",
-    "tape_compile",
 ]
 
 _OWN_ALIAS = 0
@@ -87,43 +81,6 @@ _OWN_FRESH = 2
 # view maps to exactly one element of the base, so in-place accumulation
 # through the view is sound, which is not true of broadcast views.
 _OWN_INHERIT = 3
-
-# ----------------------------------------------------------------------
-# Toggle: REPRO_TAPE_COMPILE=0 opts out of the compile layer entirely.
-# ----------------------------------------------------------------------
-_ENABLED = [os.environ.get("REPRO_TAPE_COMPILE", "1").strip().lower()
-            not in ("0", "false", "off", "no")]
-
-
-def tape_compile_enabled() -> bool:
-    """Whether ``Tensor.backward`` / ``grad()`` consult the plan cache."""
-    return _ENABLED[0]
-
-
-def set_tape_compile(enabled: bool) -> bool:
-    """Set the compile toggle; returns the previous value."""
-    previous = _ENABLED[0]
-    _ENABLED[0] = bool(enabled)
-    return previous
-
-
-class tape_compile:
-    """Scope the compile toggle: ``with tape_compile(False): ...``.
-
-    The equivalence suite uses this to run the same tape through both the
-    compiled program and the reference walk inside one process.
-    """
-
-    def __init__(self, enabled: bool):
-        self._enabled = bool(enabled)
-
-    def __enter__(self):
-        self._prev = set_tape_compile(self._enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ENABLED[0] = self._prev
-
 
 # ----------------------------------------------------------------------
 # Structural signature
@@ -435,15 +392,13 @@ class GraphPlan:
 
     __slots__ = (
         "signature", "n_slots", "steps", "root_slot", "root_want",
-        "leaf_slots", "mode", "target_slots", "n_fused_nodes", "_bufs",
-        "_buf_spec", "_edge_bufs", "_edge_spec", "_tmp_bufs", "_tmp_spec",
+        "leaf_slots", "n_fused_nodes", "_bufs", "_buf_spec", "_edge_bufs",
+        "_edge_spec", "_tmp_bufs", "_tmp_spec",
     )
 
-    def __init__(self, order, signature, mode="backward", target_slots=()):
+    def __init__(self, order, signature):
         self.signature = signature
         self.n_slots = len(order)
-        self.mode = mode
-        self.target_slots = frozenset(target_slots)
         self.root_slot = self.n_slots - 1
         root = order[self.root_slot]
         self.root_want = grad_dtype(root.data.dtype)
@@ -452,9 +407,8 @@ class GraphPlan:
         )
         self._bufs: dict[int, np.ndarray] = {}
         self._buf_spec: dict[int, tuple] = {}
-        # Per-edge matmul output buffers and per-run kernel temp buffers
-        # (backward mode only); like ``_bufs`` they are allocated lazily
-        # and reused across walks — nothing written to them ever escapes
+        # Per-edge matmul output buffers and per-run kernel temp buffers;
+        # like ``_bufs`` they are allocated lazily and reused across walks — nothing written to them ever escapes
         # the walk, so reuse is invisible.
         self._edge_bufs: dict[tuple, np.ndarray] = {}
         self._edge_spec: dict[tuple, tuple] = {}
@@ -476,13 +430,12 @@ class GraphPlan:
             for argnum, p in node.parents:
                 if p.requires_grad:
                     indeg[index[id(p)]] += 1
-        is_grad_mode = self.mode == "grad"
 
         def accum_for(slot):
             t = order[slot]
-            want = None if is_grad_mode else grad_dtype(t.data.dtype)
-            is_leaf = t._node is None and not is_grad_mode
-            if not is_leaf and not is_grad_mode:
+            want = grad_dtype(t.data.dtype)
+            is_leaf = t._node is None
+            if not is_leaf:
                 self._buf_spec.setdefault(slot, (t.data.shape, want))
             return (slot, want, is_leaf)
 
@@ -508,7 +461,7 @@ class GraphPlan:
                 # taken from the first eligible node; kernels re-check
                 # shape/dtype at execution and fall back to allocating on
                 # any mismatch, so a shared buffer is purely advisory.
-                if not is_grad_mode and run_entry not in self._tmp_spec:
+                if run_entry not in self._tmp_spec:
                     for kernel, kslot in run_kernels:
                         if kernel not in _TMP_KERNELS:
                             continue
@@ -572,13 +525,12 @@ class GraphPlan:
                         # result dtype equals the target's accumulation
                         # dtype can write straight into a plan-owned
                         # buffer.  The cotangent dtype is known here
-                        # because backward mode maintains
+                        # because the walk maintains
                         # ``cot[slot].dtype == want(slot)``.  Leaf
                         # targets are excluded: adoption needs a fresh
                         # array, so a scratch result would force a copy.
                         if (
-                            not is_grad_mode
-                            and prim.name == "matmul"
+                            prim.name == "matmul"
                             and not target[2]
                             and t.data.ndim == 2
                             and node.vals[0].ndim == 2
@@ -605,22 +557,16 @@ class GraphPlan:
             fused_nodes += 1
             # The run may keep flowing only if the parent is processed
             # immediately next (preserving the reference walk's
-            # accumulation order), receives no other contribution, and is
-            # not a target that must materialize its cotangent.
-            # Backward mode additionally pins the run to one accumulation
-            # dtype: the reference walk casts each slot's cotangent to its
-            # ``want`` dtype, so flowing across a want boundary would skip
-            # a cast the reference performs.
+            # accumulation order), receives no other contribution, and
+            # shares the run's accumulation dtype: the reference walk
+            # casts each slot's cotangent to its ``want`` dtype, so
+            # flowing across a want boundary would skip a cast the
+            # reference performs.
             next_slot = node_slots[pos + 1] if pos + 1 < len(node_slots) else -1
             if (
                 parent_slot != next_slot
                 or indeg[parent_slot] != 1
-                or parent_slot in self.target_slots
-                or (
-                    not is_grad_mode
-                    and grad_dtype(parent.data.dtype)
-                    != grad_dtype(t.data.dtype)
-                )
+                or grad_dtype(parent.data.dtype) != grad_dtype(t.data.dtype)
             ):
                 close_run()
         close_run()
@@ -657,7 +603,7 @@ class GraphPlan:
 
     def run_backward(self, order, seed) -> None:
         """Execute the program: leaf ``.grad`` semantics, bit-identical to
-        the reference walk in :func:`repro.nn.autodiff.backward_pass`."""
+        the reference walk :func:`repro.nn.autodiff.naive_backward_pass`."""
         n = self.n_slots
         cot: list = [None] * n
         own: list = [0] * n
@@ -748,82 +694,10 @@ class GraphPlan:
                     if target is not None and pg is not None:
                         acc(target, pg, _OWN_ALIAS)
 
-    def run_grad(self, order, seed) -> dict:
-        """Execute in functional mode: return ``{id(tensor): cotangent}``
-        for the requested target slots, matching ``_cotangent_walk``."""
-        n = self.n_slots
-        cot: list = [None] * n
-        own: list = [0] * n
-        targets = self.target_slots
-
-        def acc(target, pg, pg_own):
-            slot = target[0]
-            if pg.__class__ is not np.ndarray:
-                pg_own = _OWN_ALIAS
-            prev = cot[slot]
-            if prev is None:
-                cot[slot] = pg
-                own[slot] = 0 if slot in targets else pg_own
-            elif own[slot] and prev.dtype == pg.dtype:
-                np.add(prev, pg, out=prev)
-                if slot in targets:
-                    own[slot] = 0
-            else:
-                cot[slot] = prev + pg
-                own[slot] = 0 if slot in targets else _OWN_FRESH
-
-        cot[self.root_slot] = seed
-
-        for step in self.steps:
-            kind = step[0]
-            if kind == _STEP_RUN:
-                g = cot[step[1]]
-                if g is None:
-                    continue
-                # Functional mode has no ``want``-dtype invariant along a
-                # run, so in-place kernels could downcast where the
-                # reference promotes: force the non-owned (allocating)
-                # branch of every kernel, which replicates the reference
-                # expressions with natural promotion.
-                for kernel, slot in step[2]:
-                    t = order[slot]
-                    node = t._node
-                    g, __ = kernel(g, _OWN_ALIAS, t.data, node.vals,
-                                   node.params)
-                acc(step[3], g, _OWN_ALIAS)
-            elif kind == _STEP_VJPS:
-                slot = step[1]
-                g = cot[slot]
-                if g is None:
-                    continue
-                t = order[slot]
-                node = t._node
-                ans, vals, params = t.data, node.vals, node.params
-                g_own = own[slot]
-                for vjp, target, fresh in step[2]:
-                    acc(target, vjp(g, ans, vals, params),
-                        g_own if fresh == _OWN_INHERIT else fresh)
-            else:
-                slot = step[1]
-                g = cot[slot]
-                if g is None:
-                    continue
-                t = order[slot]
-                node = t._node
-                grads = step[2](g, t.data, node.vals, node.params, step[3])
-                for target, pg in zip(step[4], grads):
-                    if target is not None and pg is not None:
-                        acc(target, pg, _OWN_ALIAS)
-        return {
-            id(order[slot]): cot[slot]
-            for slot in targets
-            if cot[slot] is not None
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"GraphPlan(slots={self.n_slots}, steps={len(self.steps)}, "
-            f"fused_nodes={self.n_fused_nodes}, mode={self.mode!r})"
+            f"fused_nodes={self.n_fused_nodes})"
         )
 
 
@@ -850,39 +724,15 @@ def clear_plan_cache() -> None:
     _STATS["misses"] = 0
 
 
-def _lookup(order, mode, signature, target_slots=()):
-    key = (
-        mode,
-        tuple(sorted(set(target_slots))),
-        default_precision().grad_real.num,
-        signature,
-    )
+def plan_for_backward(order) -> GraphPlan:
+    """The cached plan for ``Tensor.backward``'s ``.grad`` semantics."""
+    signature, __ = tape_signature(order)
+    key = (default_precision().grad_real.num, signature)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         _STATS["misses"] += 1
-        plan = GraphPlan(order, signature, mode=mode,
-                         target_slots=target_slots)
+        plan = GraphPlan(order, signature)
         _PLAN_CACHE[key] = plan
     else:
         _STATS["hits"] += 1
     return plan
-
-
-def plan_for_backward(order) -> GraphPlan:
-    """The cached plan for ``Tensor.backward``'s ``.grad`` semantics."""
-    signature, __ = tape_signature(order)
-    return _lookup(order, "backward", signature)
-
-
-def plan_for_grad(order, targets) -> GraphPlan:
-    """The cached plan for the functional :func:`grad` fast path.
-
-    ``targets`` not reachable from the root simply never receive a
-    cotangent; :meth:`GraphPlan.run_grad` omits them from its result dict
-    exactly like the reference ``_cotangent_walk``.
-    """
-    signature, index = tape_signature(order)
-    target_slots = tuple(
-        index[id(t)] for t in targets if id(t) in index
-    )
-    return _lookup(order, "grad", signature, target_slots)

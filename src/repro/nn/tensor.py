@@ -31,12 +31,12 @@ Design notes
   lowers it once into a reusable backward program (flattened VJP
   dispatch, fused single-consumer elementwise chains, preallocated
   cotangent buffers) cached on a structural signature, exactly like the
-  quantum engine caches circuit plans.  ``Tensor.backward`` and the fast
-  path of :func:`repro.nn.autodiff.grad` consult that cache
-  automatically; training loops therefore lower on step 1 and run the
-  cached program from step 2 on.  The compiled program is bit-identical
-  to the interpreted walk; ``REPRO_TAPE_COMPILE=0`` (or
-  ``repro.nn.tape_compile(False)``) disables it.
+  quantum engine caches circuit plans.  ``Tensor.backward`` always runs
+  through that cache; training loops therefore lower on step 1 and run
+  the cached program from step 2 on.  The compiled program is
+  bit-identical to the interpreted reference walk
+  (:func:`repro.nn.autodiff.naive_backward_pass`), which nothing in the
+  library selects.
 * Gradients follow numpy broadcasting: every op's VJP sums the upstream
   gradient back down to the operand's shape via :func:`_unbroadcast` (or
   its dual-mode twin ``_unb_any``).

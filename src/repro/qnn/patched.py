@@ -21,10 +21,9 @@ through one compiled plan, whose registered VJP is one adjoint walk
 returning every patch's weight and input gradients
 (:func:`repro.quantum.autodiff.backward_stacked`).  The ``Tensor.stack``
 node routes the ``(p, n_weights)`` gradient back to the individual patch
-``Parameter``s.  Patches whose circuits are *not* structurally identical
-(or a layer built with ``stacked=False``) fall back to the sequential
-per-patch loop, which is also the reference the stacked path is
-property-tested against.
+``Parameter``s.  Only patches whose circuits are *not* structurally
+identical run the sequential per-patch loop, which is also the reference
+the stacked path is property-tested against.
 
 Under ``create_graph`` the stacked primitive's VJP switches to the
 parameter-shift rule, exploiting patch independence: patch outputs depend
@@ -201,11 +200,6 @@ class PatchedQuantumLayer(Module):
         Number of sub-circuits ``p``.
     rng:
         Seeded generator; each patch gets independently initialized weights.
-    stacked:
-        Execute all patches as one stacked engine pass (see the module
-        docstring).  On by default; only takes effect when every patch
-        circuit is structurally identical, otherwise the layer silently
-        uses the sequential per-patch loop.
     dtype:
         Precision spec resolved at construction and shared by every patch:
         weights live in its real dtype, the stacked pass runs at its paired
@@ -218,7 +212,6 @@ class PatchedQuantumLayer(Module):
         n_patches: int,
         rng: np.random.Generator | None = None,
         init_scale: float = np.pi,
-        stacked: bool = True,
         dtype=None,
     ):
         super().__init__()
@@ -249,9 +242,14 @@ class PatchedQuantumLayer(Module):
         self._template: Circuit | None = (
             self.patches[0].circuit if len(signatures) == 1 else None
         )
-        self.stacked = bool(stacked) and self._template is not None
-        if self.stacked:
+        if self._template is not None:
             stacked_plan(self._template)  # pay template compilation up front
+
+    @property
+    def stacked(self) -> bool:
+        """Whether every patch runs in one stacked pass (patch circuits
+        share one structural signature)."""
+        return self._template is not None
 
     @property
     def input_dim(self) -> int:
@@ -265,12 +263,14 @@ class PatchedQuantumLayer(Module):
                 f"({self.n_patches} patches x {self.inputs_per_patch}), "
                 f"got {x.shape[-1]}"
             )
-        if not (self.stacked and self._template is not None):
+        if self._template is None:
             return self._forward_sequential(x)
         return self._forward_stacked(x)
 
     def _forward_sequential(self, x: Tensor) -> Tensor:
-        """Reference path: one engine invocation per patch."""
+        """One engine invocation per patch: the path for structurally
+        different patches, and the reference the stacked pass is tested
+        against."""
         outputs = []
         for index, patch in enumerate(self.patches):
             start = index * self.inputs_per_patch
@@ -292,6 +292,6 @@ class PatchedQuantumLayer(Module):
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"PatchedQuantumLayer(patches={self.n_patches}, "
-            f"in={self.input_dim}, out={self.output_dim}, "
-            f"stacked={self.stacked})"
+            f"in={self.input_dim}, out={self.output_dim}"
+            f"{', stacked' if self.stacked else ', per-patch'})"
         )

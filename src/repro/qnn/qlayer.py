@@ -6,12 +6,11 @@ paper's heterogeneous learning rates) and records every execution as a
 first-class autodiff primitive (:func:`quantum_execute`): the simulator's
 exact vector-Jacobian product is the primitive's registered VJP, so
 ``no_grad``, ``retain_graph``, precision policy, and gradient accumulation
-flow through the same tape walk as the classical ops.  Since the adjoint
-unification, that VJP runs on the same block/kernel substrate as the
-stacked patched path (:mod:`repro.quantum.engine`): a degenerate ``p = 1``
-stack with the checkpointed transition-matrix backward, so single-circuit
-layers — the MolQAE-style non-patched autoencoders — train on the same hot
-path as the patched ones.
+flow through the same tape walk as the classical ops.  That VJP is the
+``p = 1`` call of the stacked patched path (:mod:`repro.quantum.engine`):
+the same plan and checkpointed transition-matrix backward, so
+single-circuit layers — the MolQAE-style non-patched autoencoders — train
+on the same hot path as the patched ones.
 
 When the backward walk itself is being recorded (``create_graph=True``,
 the grad-of-grad path behind :func:`repro.nn.autodiff.hvp`), the adjoint
@@ -36,7 +35,7 @@ from ..nn.tensor import Tensor, is_grad_enabled, tape_record
 from ..quantum.autodiff import backward as q_backward
 from ..quantum.autodiff import execute as q_execute
 from ..quantum.circuit import Circuit
-from ..quantum.engine import compiled_plan
+from ..quantum.engine import stacked_plan
 from ..quantum.shift import _SHIFT, require_two_term
 
 __all__ = ["QuantumLayer", "quantum_execute"]
@@ -179,7 +178,7 @@ class QuantumLayer(Module):
         self.precision = resolve_precision(dtype)
         # Pay plan compilation at construction; every forward/backward then
         # binds and runs the cached program.
-        compiled_plan(circuit)
+        stacked_plan(circuit)
         rng = fresh_rng(rng)
         self.weights = Parameter(
             rng.uniform(-init_scale, init_scale, size=circuit.n_weights),

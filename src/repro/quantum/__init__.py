@@ -13,7 +13,7 @@ This package replaces PennyLane for the reproduction.  Public surface::
 Execution is a compile/bind/run pipeline (:mod:`repro.quantum.engine`):
 
 1. **Compile** — the circuit template is lowered once into a
-   :class:`~repro.quantum.engine.CompiledPlan`: runs of single-qubit gates on
+   :class:`~repro.quantum.engine.StackedPlan`: runs of single-qubit gates on
    the same wire (adjacent modulo gates on disjoint wires, which commute) are
    fused into one 2x2 instruction — the SEL ``Rot = RZ.RY.RZ`` triple becomes
    a single fused gate — and every instruction is lowered to a specialized
@@ -43,14 +43,14 @@ The pre-compilation op-by-op interpreter survives as ``naive_execute`` /
 property-tested against and benchmarked from.
 
 ``p`` structurally identical circuit instances (the patched encoder's
-sub-circuits) execute as one stacked ``(p * batch, 2**n)`` pass through a
-:class:`~repro.quantum.engine.StackedPlan` via
-:func:`~repro.quantum.autodiff.execute_stacked` /
+sub-circuits) execute as one stacked ``(p * batch, 2**n)`` pass through the
+same plan via :func:`~repro.quantum.autodiff.execute_stacked` /
 :func:`~repro.quantum.autodiff.backward_stacked`: weight-sourced gates bind
 per patch and broadcast along the outermost state axis, adjacent dense runs
 merge into 4x4 kron blocks, consecutive permutations compose into single
 gathers, and one adjoint walk — one transition-matrix contraction per dense
-block — returns every instance's gradients.
+block — returns every instance's gradients.  A single circuit is the
+``p = 1`` stack: :func:`execute` / :func:`backward` make exactly that call.
 """
 
 from . import gates
@@ -67,14 +67,7 @@ from .autodiff import (
 )
 from .circuit import Circuit, Operation, sel_weight_count
 from .drawer import draw
-from .engine import (
-    CompiledPlan,
-    StackedPlan,
-    compile_circuit,
-    compile_stacked,
-    compiled_plan,
-    stacked_plan,
-)
+from .engine import StackedPlan, compile_stacked, stacked_plan
 from .noise import NoiseModel, noisy_execute
 from .observables import (
     pauli_string_expval,
@@ -113,11 +106,8 @@ __all__ = [
     "ExecutionCache",
     "StackedExecutionCache",
     "prepare_amplitude_state",
-    "CompiledPlan",
     "StackedPlan",
-    "compile_circuit",
     "compile_stacked",
-    "compiled_plan",
     "stacked_plan",
     "parameter_shift_gradients",
     "parameter_shift_jacobian",

@@ -1,4 +1,4 @@
-"""Compiled circuit execution engine: one block/kernel substrate, two views.
+"""Compiled circuit execution engine: one lowered program, one plan class.
 
 The generic interpreter in :mod:`repro.quantum.autodiff` applies every gate
 through :func:`repro.quantum.state.apply_gate` — a reshape/moveaxis/einsum
@@ -7,18 +7,16 @@ matrix.  This module lowers a :class:`~repro.quantum.circuit.Circuit` into a
 reusable plan once, then executes the plan many times.
 
 **Adjoint architecture.**  There is exactly one lowered representation — a
-scheduled list of *stacked* instructions — and two plan classes that view it:
+scheduled list of *stacked* instructions held by a :class:`StackedPlan` —
+which runs ``p`` structurally identical weight-bindings of the circuit as a
+single ``(p * batch, 2**n)`` statevector pass.  A single circuit is the
+``p = 1`` stack: :func:`repro.quantum.autodiff.execute` / ``backward`` are
+the ``p = 1`` calls of ``execute_stacked`` / ``backward_stacked``, so both
+run the same instructions, kernels and backward.  :func:`stacked_plan`
+caches the program on the circuit and in a structural cache shared by every
+circuit of the same shape.
 
-* :class:`StackedPlan` runs ``p`` structurally identical weight-bindings of
-  the circuit as a single ``(p * batch, 2**n)`` statevector pass (the
-  patched layers' fast path).
-* :class:`CompiledPlan` is the per-instance view: the degenerate ``p = 1``
-  stack.  Same instructions, same kernels, same backward — only the
-  entry-point shapes differ (flat weights, plain ``(batch, 2**n)`` state).
-  :func:`compiled_plan` and :func:`stacked_plan` share the lowered program,
-  so a circuit used both ways is lowered exactly once.
-
-The substrate gives both views the same machinery:
+The plan's machinery:
 
 * **Fusion + scheduling.**  Runs of single-qubit gates on one wire collapse
   into a 2x2 matrix (the SEL ``Rot = RZ.RY.RZ`` triple becomes one
@@ -48,10 +46,8 @@ The substrate gives both views the same machinery:
   through one vectorized gate construction and one batched-matmul sweep
   per signature (:class:`_SStaticGroup`).
 
-:func:`repro.quantum.autodiff.execute` / ``backward`` drive the ``p = 1``
-view; ``execute_stacked`` / ``backward_stacked`` drive the multi-bind view.
 The op-by-op interpreter (``naive_execute`` / ``naive_backward``) remains
-the reference both are property-tested against.
+the reference the plan is property-tested against.
 """
 
 from __future__ import annotations
@@ -62,10 +58,7 @@ from . import gates as G
 from .circuit import Circuit, Operation
 
 __all__ = [
-    "CompiledPlan",
     "StackedPlan",
-    "compile_circuit",
-    "compiled_plan",
     "circuit_signature",
     "compile_stacked",
     "stacked_plan",
@@ -107,7 +100,7 @@ def _validate_wires(op: Operation, n_wires: int) -> None:
 # ---------------------------------------------------------------------------
 #
 # The state is logically (p, batch, dim) with the patch axis outermost (p = 1
-# for the per-instance view); weight-bound gate matrices are (p, d, d) and
+# for a single circuit); weight-bound gate matrices are (p, d, d) and
 # broadcast along that axis, so every patch sees its own angles while each
 # numpy operation still covers the whole stack.  Input-bound matrices stay
 # per-row, (p * batch, d, d).
@@ -690,36 +683,6 @@ class StackedPlan:
         )
 
 
-class CompiledPlan(StackedPlan):
-    """The per-instance plan: a degenerate ``p = 1`` view of the stack.
-
-    Same instructions, same kernels, same checkpointed transition-matrix
-    backward — only the entry-point shapes differ: ``bind`` takes a flat
-    ``(n_weights,)`` vector and ``run`` a plain ``(batch, 2**n)`` state.
-    :func:`compiled_plan` shares the lowered instruction list with
-    :func:`stacked_plan`, so a circuit used both ways is lowered once.
-    """
-
-    __slots__ = ()
-
-    def bind(self, inputs, weights, with_grads, cdtype=np.complex128) -> list:
-        """Resolve the plan against a flat ``(n_weights,)`` vector.
-
-        Returns one opaque data blob per instruction, exactly as the
-        stacked bind does for ``p = 1``.
-        """
-        batch = 1 if inputs is None else inputs.shape[0]
-        return StackedPlan.bind(
-            self, inputs, np.asarray(weights)[None, :], 1, batch,
-            with_grads, cdtype,
-        )
-
-    def run(self, state: np.ndarray, bound: list, record=None) -> np.ndarray:
-        """Execute the bound program on a ``(batch, 2**n)`` state."""
-        return StackedPlan.run(self, state, bound, 1, state.shape[0],
-                               record=record)
-
-
 # ---------------------------------------------------------------------------
 # Lowering
 # ---------------------------------------------------------------------------
@@ -878,25 +841,11 @@ def compile_stacked(circuit: Circuit) -> StackedPlan:
     return StackedPlan(n, circuit_signature(circuit), instructions, groups)
 
 
-def compile_circuit(circuit: Circuit) -> CompiledPlan:
-    """Lower a circuit into a :class:`CompiledPlan` (no caching).
-
-    The per-instance plan is the same lowered program as the stacked one,
-    re-wrapped in the ``p = 1`` entry points.
-    """
-    plan = compile_stacked(circuit)
-    return CompiledPlan(
-        plan.n_wires, plan.signature, plan.instructions, plan.groups
-    )
-
-
-# Structural plan caches: patched layers build p identical sub-circuits,
-# which all share one lowered program; the per-instance cache re-wraps the
-# stacked program, so a circuit used both ways is lowered exactly once.
-# Keyed by the full signature, so they can never hand back a stale program;
-# bounded in practice by the handful of circuit shapes a model uses.
+# Structural plan cache: patched layers build p identical sub-circuits,
+# which all share one lowered program.  Keyed by the full signature, so it
+# can never hand back a stale program; bounded in practice by the handful
+# of circuit shapes a model uses.
 _SPLAN_CACHE: dict[tuple, StackedPlan] = {}
-_PLAN_CACHE: dict[tuple, CompiledPlan] = {}
 
 
 def stacked_plan(circuit: Circuit) -> StackedPlan:
@@ -910,22 +859,4 @@ def stacked_plan(circuit: Circuit) -> StackedPlan:
         plan = compile_stacked(circuit)
         _SPLAN_CACHE[signature] = plan
     circuit._stacked_plan = plan
-    return plan
-
-
-def compiled_plan(circuit: Circuit) -> CompiledPlan:
-    """The circuit's cached plan, recompiled only if its structure changed."""
-    cached = getattr(circuit, "_compiled_plan", None)
-    signature = circuit_signature(circuit)
-    if cached is not None and cached.signature == signature:
-        return cached
-    plan = _PLAN_CACHE.get(signature)
-    if plan is None:
-        stacked = stacked_plan(circuit)
-        plan = CompiledPlan(
-            stacked.n_wires, stacked.signature, stacked.instructions,
-            stacked.groups,
-        )
-        _PLAN_CACHE[signature] = plan
-    circuit._compiled_plan = plan
     return plan

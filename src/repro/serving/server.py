@@ -8,6 +8,9 @@ object per line in each direction, arrays as nested lists.  Requests::
     {"kind": "score", "matrices": [[[...], ...], ...]}
     {"kind": "ping"} / {"kind": "stats"}
 
+``count`` and ``seed`` must be JSON integers (a float, boolean or string
+is not coerced), and every array value must be finite.
+
 Responses carry ``{"ok": true, ...}`` with the result fields, or
 ``{"ok": false, "error": <name>, "message": <text>}`` where ``error`` is
 one of ``queue_full`` / ``request_timeout`` / ``service_closed`` /
@@ -34,6 +37,14 @@ import numpy as np
 from .batcher import QueueFull, RequestTimeout, ServiceClosed
 
 __all__ = ["GenerationServer"]
+
+
+def _json_int(message: dict, name: str, default: int | None = None) -> int:
+    """``message[name]`` if it is a JSON integer, else ``bad_request``."""
+    value = message[name] if default is None else message.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _error_name(exc: Exception) -> str:
@@ -99,7 +110,8 @@ class GenerationServer(socketserver.ThreadingTCPServer):
                 return {"ok": True, "stats": self.service.stats()}
             if kind == "sample":
                 matrices = self.service.sample(
-                    int(message["count"]), seed=int(message.get("seed", 0)),
+                    _json_int(message, "count"),
+                    seed=_json_int(message, "seed", 0),
                     checkpoint=message.get("checkpoint"),
                 )
                 return {"ok": True, "matrices": matrices.tolist()}

@@ -193,6 +193,7 @@ class GenerationService:
                 f"expected (n, {entry.input_dim}) features, got "
                 f"{features.shape}"
             )
+        _require_finite(features, "features")
         return ("encode", entry.key), (entry, features)
 
     def _score_request(self, matrices):
@@ -202,6 +203,7 @@ class GenerationService:
                 f"expected a (n, size, size) matrix stack, got "
                 f"{matrices.shape}"
             )
+        _require_finite(matrices, "matrices")
         return ("score", matrices.shape[1]), matrices
 
     # ------------------------------------------------------------------
@@ -250,6 +252,14 @@ class GenerationService:
         ]
 
 
-def _split_rows(stacked: np.ndarray, counts: list[int]) -> list[np.ndarray]:
+def _require_finite(array: np.ndarray, name: str) -> None:
+    """Reject NaN/inf before they reach a batch: a non-finite feature would
+    come back as NaN latents, and a non-finite matrix cell silently decodes
+    as if the cell were absent."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got NaN or infinity")
+
+
+def _split_rows(joined: np.ndarray, counts: list[int]) -> list[np.ndarray]:
     """Undo a concatenation: one array per request, rows in order."""
-    return np.split(stacked, np.cumsum(counts)[:-1])
+    return np.split(joined, np.cumsum(counts)[:-1])

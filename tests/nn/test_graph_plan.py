@@ -1,12 +1,19 @@
 """Compiled backward plans (repro.nn.graph) vs the reference tape walk.
 
 The contract under test is strict: for any recorded tape, the compiled
-program must produce gradients **bit-identical** (plain ``==``, no
-tolerance) to the interpreted walk in ``repro.nn.autodiff``, across
-precision policies, broadcasting, multi-consumer graphs, and the hybrid
-quantum layers — and plans must be cached on structure, recompiling on
-any structural change and never re-lowering on steps 2+.
+program ``Tensor.backward`` runs must produce gradients **bit-identical**
+(plain ``==``, no tolerance) to the interpreted reference walk
+``repro.nn.autodiff.naive_backward_pass``, across precision policies,
+broadcasting, multi-consumer graphs, and the hybrid quantum layers — and
+plans must be cached on structure, recompiling on any structural change
+and never re-lowering on steps 2+.
 """
+
+import os
+import subprocess
+import sys
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +21,13 @@ import pytest
 from repro import nn
 from repro.nn import Tensor, no_grad
 from repro.nn import graph as G
+from repro.nn import tensor as tensor_module
+from repro.nn.autodiff import naive_backward_pass
 from repro.nn.functional import mse_loss
 from repro.nn.optim import SGD
 from repro.nn.precision import use_precision
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -26,16 +37,31 @@ def _fresh_cache():
     G.clear_plan_cache()
 
 
-def both_modes(build, n_grads=None):
-    """Run ``build`` compiled and uncompiled; return both grad lists.
+@contextmanager
+def reference_walk():
+    """Route ``Tensor.backward`` through the interpreted reference walk.
 
-    ``build(rng)`` must construct a fresh graph, run a backward (or
-    grad()) pass, and return a list of gradient arrays.
+    The library has no switch for this; the differential tests swap the
+    walk function ``Tensor.backward`` calls for the scope of one build.
     """
-    with G.tape_compile(False):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor_module, "backward_pass", naive_backward_pass)
+        yield
+
+
+def both_modes(build, n_grads=None):
+    """Run ``build`` on the reference walk and on the plan; return both
+    grad lists.
+
+    ``build(rng)`` must construct a fresh graph, run a backward pass, and
+    return a list of gradient arrays.
+    """
+    stats = G.plan_cache_stats()
+    with reference_walk():
         ref = build(np.random.default_rng(0))
-    with G.tape_compile(True):
-        com = build(np.random.default_rng(0))
+    assert G.plan_cache_stats() == stats, "the reference side ran a plan"
+    com = build(np.random.default_rng(0))
+    assert G.plan_cache_stats() != stats, "the compiled side ran no plan"
     assert len(ref) == len(com)
     if n_grads is not None:
         assert len(ref) == n_grads
@@ -245,17 +271,17 @@ class TestBackwardSemantics:
 
     def test_intermediates_carry_no_grad_after_backward(self):
         """Satellite regression: cotangents are released on consume."""
-        for compiled in (False, True):
-            with G.tape_compile(compiled):
+        for walk in (reference_walk, nullcontext):
+            with walk():
                 x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
                 h = (x * 2.0).tanh()
                 u = h * h
                 z = u.sum()
                 z.backward()
-                assert x.grad is not None
-                assert h.grad is None
-                assert u.grad is None
-                assert z.grad is None
+            assert x.grad is not None
+            assert h.grad is None
+            assert u.grad is None
+            assert z.grad is None
 
     def test_seed_array_is_not_mutated(self):
         seed = np.full((3,), 2.0)
@@ -282,53 +308,35 @@ class TestBackwardSemantics:
         assert not np.array_equal(g1[0], g2[0])
 
 
-class TestFunctionalGradEquivalence:
-    def test_grad_matches_reference(self):
-        def build(rng):
-            x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-            w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-            y = ((x @ w).tanh() * 3.0).sigmoid().sum()
-            gx, gw = nn.grad(y, (x, w))
-            return [gx.data, gw.data]
-
-        assert_bitwise(*both_modes(build, n_grads=2))
-
-    def test_grad_of_intermediate_target(self):
-        def build(rng):
-            x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-            h = x.tanh()
-            y = (h * h).sum()
-            gh, gx = nn.grad(y, (h, x), retain_graph=True)
-            return [gh.data, gx.data]
-
-        assert_bitwise(*both_modes(build, n_grads=2))
-
+class TestFunctionalGrad:
     def test_grad_allow_unused(self):
-        for compiled in (False, True):
-            with G.tape_compile(compiled):
-                x = Tensor(np.arange(3.0), requires_grad=True)
-                z = Tensor(np.arange(3.0), requires_grad=True)
-                y = (x * x).sum()
-                gx, gz = nn.grad(y, (x, z), allow_unused=True)
-                assert gz is None
-                np.testing.assert_allclose(gx.data, 2 * np.arange(3.0))
-
-    def test_hvp_matches_reference(self):
-        def build(rng):
-            x = Tensor(rng.normal(size=(6,)), requires_grad=True)
-            v = Tensor(rng.normal(size=(6,)))
-            y = (x.tanh() * x).sum()
-            (h,) = nn.hvp(y, (x,), (v,))
-            return [h.data]
-
-        assert_bitwise(*both_modes(build))
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        z = Tensor(np.arange(3.0), requires_grad=True)
+        y = (x * x).sum()
+        gx, gz = nn.grad(y, (x, z), allow_unused=True)
+        assert gz is None
+        np.testing.assert_allclose(gx.data, 2 * np.arange(3.0))
 
     def test_grad_does_not_touch_grad_buffers(self):
-        with G.tape_compile(True):
-            x = Tensor(np.arange(4.0), requires_grad=True)
-            h = x.sigmoid()
-            nn.grad((h * h).sum(), [x])
-            assert x.grad is None and h.grad is None
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        h = x.sigmoid()
+        nn.grad((h * h).sum(), [x])
+        assert x.grad is None and h.grad is None
+
+    def test_grad_of_intermediate_target(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(4,)),
+                   requires_grad=True)
+        h = x.tanh()
+        y = (h * h).sum()
+        gh, gx = nn.grad(y, (h, x), retain_graph=True)
+        assert np.array_equal(gh.data, 2.0 * h.data)
+        y.backward()
+        assert np.array_equal(gx.data, x.grad)
+
+    def test_grad_compiles_no_plan(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        nn.grad((x.tanh() * x).sum(), [x])
+        assert G.plan_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
 
 class TestHybridEquivalence:
@@ -379,22 +387,20 @@ class TestPlanCache:
         y.backward()
 
     def test_steps_2_plus_hit_the_cache(self):
-        with G.tape_compile(True):
+        self._step()
+        first = G.plan_cache_stats()
+        for _ in range(5):
             self._step()
-            first = G.plan_cache_stats()
-            for _ in range(5):
-                self._step()
-            after = G.plan_cache_stats()
+        after = G.plan_cache_stats()
         assert first["misses"] == 1 and first["hits"] == 0
         assert after["misses"] == 1  # never re-lowered
         assert after["hits"] == 5
         assert after["size"] == 1
 
     def test_shape_change_recompiles(self):
-        with G.tape_compile(True):
-            self._step(4)
-            self._step(5)
-            stats = G.plan_cache_stats()
+        self._step(4)
+        self._step(5)
+        stats = G.plan_cache_stats()
         assert stats["misses"] == 2 and stats["size"] == 2
 
     def test_dtype_policy_change_recompiles(self):
@@ -402,65 +408,48 @@ class TestPlanCache:
             x = Tensor(np.arange(4.0, dtype=np.float32), requires_grad=True)
             (x * x).sum().backward()
 
-        with G.tape_compile(True):
-            with use_precision("float32"):
-                once()
-            with use_precision("mixed32"):
-                once()  # same array dtypes, different grad accumulation
-            stats = G.plan_cache_stats()
+        with use_precision("float32"):
+            once()
+        with use_precision("mixed32"):
+            once()  # same array dtypes, different grad accumulation
+        stats = G.plan_cache_stats()
         assert stats["misses"] == 2
 
     def test_requires_grad_flip_recompiles(self):
-        with G.tape_compile(True):
-            self._step()
-            self._step(freeze=True)
-            stats = G.plan_cache_stats()
+        self._step()
+        self._step(freeze=True)
+        stats = G.plan_cache_stats()
         assert stats["misses"] == 2
 
     def test_no_grad_branch_recompiles(self):
-        with G.tape_compile(True):
-            self._step()
-            self._step(branch=True)
-            self._step(branch=True)
-            stats = G.plan_cache_stats()
+        self._step()
+        self._step(branch=True)
+        self._step(branch=True)
+        stats = G.plan_cache_stats()
         assert stats["misses"] == 2 and stats["hits"] == 1
 
-    def test_grad_and_backward_plans_are_distinct(self):
-        with G.tape_compile(True):
-            x = Tensor(np.arange(3.0), requires_grad=True)
-            y = (x * x).sum()
-            nn.grad(y, [x], retain_graph=True)
-            y.backward()
-            stats = G.plan_cache_stats()
-        assert stats["misses"] == 2
-
     def test_clear_plan_cache(self):
-        with G.tape_compile(True):
-            self._step()
+        self._step()
         G.clear_plan_cache()
         stats = G.plan_cache_stats()
         assert stats == {"hits": 0, "misses": 0, "size": 0}
 
-
-class TestToggle:
-    def test_context_manager_restores(self):
-        prev = G.tape_compile_enabled()
-        with G.tape_compile(not prev):
-            assert G.tape_compile_enabled() is (not prev)
-        assert G.tape_compile_enabled() is prev
-
-    def test_set_tape_compile_returns_previous(self):
-        prev = G.set_tape_compile(False)
-        try:
-            assert G.tape_compile_enabled() is False
-        finally:
-            G.set_tape_compile(prev)
-
-    def test_disabled_mode_compiles_nothing(self):
-        with G.tape_compile(False):
-            x = Tensor(np.arange(3.0), requires_grad=True)
-            (x * x).sum().backward()
-        assert G.plan_cache_stats()["size"] == 0
+    def test_backward_compiles_whatever_the_environment_says(self):
+        # REPRO_TAPE_COMPILE once switched the plan off; a fresh
+        # interpreter that still sets it must compile anyway.
+        env = dict(os.environ, REPRO_TAPE_COMPILE="0", PYTHONPATH=str(SRC))
+        code = (
+            "import numpy as np\n"
+            "from repro.nn import Tensor, plan_cache_stats\n"
+            "x = Tensor(np.arange(3.0), requires_grad=True)\n"
+            "(x * x).sum().backward()\n"
+            "print(plan_cache_stats()['misses'])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "1"
 
 
 class TestZeroGradSetToNone:
@@ -489,19 +478,19 @@ class TestZeroGradSetToNone:
     def test_training_equivalence_across_modes(self):
         """A short SGD loop lands on identical parameters either way."""
 
-        def train(compiled):
+        def train(reference):
             rng = np.random.default_rng(3)
             w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             x = Tensor(rng.normal(size=(8, 4)))
             opt = SGD([w], lr=0.05)
-            with G.tape_compile(compiled):
+            with reference_walk() if reference else nullcontext():
                 for _ in range(5):
                     opt.zero_grad(set_to_none=True)
                     ((x @ w).tanh() ** 2).sum().backward()
                     opt.step()
             return w.data.copy()
 
-        assert np.array_equal(train(False), train(True))
+        assert np.array_equal(train(True), train(False))
 
 
 class TestViewFreshnessInheritance:
@@ -609,36 +598,36 @@ class TestMatmulOutEdges:
             return ((x @ w1).tanh() @ w2).sum()
 
         buf_ids = None
-        with G.tape_compile(True):
-            for _ in range(3):
+        for _ in range(3):
+            w1.grad = w2.grad = None
+            loss().backward()
+            got = [w1.grad.copy(), w2.grad.copy()]
+            with reference_walk():
                 w1.grad = w2.grad = None
                 loss().backward()
-                got = [w1.grad.copy(), w2.grad.copy()]
-                with G.tape_compile(False):
-                    w1.grad = w2.grad = None
-                    loss().backward()
-                assert_bitwise([w1.grad, w2.grad], got)
-                (plan,) = G._PLAN_CACHE.values()
-                assert plan._edge_bufs, "expected matmul out= edges"
-                ids = {k: id(v) for k, v in plan._edge_bufs.items()}
-                assert buf_ids is None or ids == buf_ids
-                buf_ids = ids
-                w1.data += 0.1  # new values, same structure
-                x.data *= 1.01
+            assert_bitwise([w1.grad, w2.grad], got)
+            (plan,) = G._PLAN_CACHE.values()
+            assert plan._edge_bufs, "expected matmul out= edges"
+            ids = {k: id(v) for k, v in plan._edge_bufs.items()}
+            assert buf_ids is None or ids == buf_ids
+            buf_ids = ids
+            w1.data += 0.1  # new values, same structure
+            x.data *= 1.01
 
-    def test_grad_mode_untouched_by_edge_buffers(self):
+    def test_grad_results_untouched_by_edge_buffers(self):
         """Functional grad() results are user-visible; they must be
-        fresh arrays, not plan scratch that the next walk overwrites."""
+        fresh arrays, not plan scratch that a later walk overwrites."""
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(6, 8)))
         w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
         h = (x @ w).tanh()
 
-        with G.tape_compile(True):
-            (g1,) = nn.grad((h * h).sum(), [w])
-            keep = g1.data.copy()
+        (g1,) = nn.grad((h * h).sum(), [w])
+        keep = g1.data.copy()
+        for _ in range(2):
             h2 = (x @ w).tanh()
             nn.grad((h2 * h2).sum(), [w])
+            (h2 * h2).sum().backward()
         assert np.array_equal(g1.data, keep)
 
 
@@ -669,17 +658,16 @@ class TestKernelTempBuffers:
         def loss():
             return ((x * 0.9).tanh().sigmoid() ** 3).sum()
 
-        with G.tape_compile(True):
-            for _ in range(3):
+        for _ in range(3):
+            x.grad = None
+            loss().backward()
+            got = [x.grad.copy()]
+            with reference_walk():
                 x.grad = None
                 loss().backward()
-                got = [x.grad.copy()]
-                with G.tape_compile(False):
-                    x.grad = None
-                    loss().backward()
-                assert_bitwise([x.grad], got)
-                plans = list(G._PLAN_CACHE.values())
-                assert any(p._tmp_bufs for p in plans), (
-                    "expected a staged kernel temp buffer"
-                )
-                x.data = rng.normal(size=(7, 7))
+            assert_bitwise([x.grad], got)
+            plans = list(G._PLAN_CACHE.values())
+            assert any(p._tmp_bufs for p in plans), (
+                "expected a staged kernel temp buffer"
+            )
+            x.data = rng.normal(size=(7, 7))

@@ -4,7 +4,8 @@ The stacked fast path (one engine invocation for all p patches) must be a
 drop-in replacement for the sequential per-patch loop: same outputs, same
 weight gradients, same input gradients — and both must agree with the
 parameter-shift rule.  Layers whose patches are not structurally identical
-must fall back to the loop silently and keep working.
+must fall back to the loop silently and keep working; no switch selects
+the loop for identical patches, so the tests call it directly.
 """
 
 import numpy as np
@@ -21,17 +22,18 @@ from repro.qnn import (
 
 
 def _both_modes(factory, n_patches, x_data, seed=0):
-    """Run one forward+backward in stacked and sequential mode on layers
-    with identical weights; returns (out, x_grad, weight_grads) per mode."""
+    """Run one forward+backward through the stacked pass and through the
+    per-patch loop of one layer; returns (out, x_grad, weight_grads) per
+    mode."""
+    layer = PatchedQuantumLayer(
+        factory, n_patches=n_patches, rng=np.random.default_rng(seed)
+    )
+    assert layer.stacked
     results = []
-    for stacked in (True, False):
-        rng = np.random.default_rng(seed)
-        layer = PatchedQuantumLayer(
-            factory, n_patches=n_patches, rng=rng, stacked=stacked
-        )
-        assert layer.stacked == stacked
+    for forward in (layer, layer._forward_sequential):
+        layer.zero_grad()
         x = Tensor(x_data.copy(), requires_grad=True)
-        out = layer(x)
+        out = forward(x)
         out.sum().backward()
         results.append(
             (out.data, x.grad.copy(), [p.weights.grad.copy() for p in layer.patches])
@@ -106,15 +108,15 @@ class TestStackedEqualsSequential:
         rng = np.random.default_rng(6)
         x_data = np.abs(rng.normal(size=(4, 16))) + 0.05
         target = rng.normal(size=(4, 6))
+        layer = PatchedQuantumLayer(
+            lambda i: amplitude_encoder_circuit(3, 8, 2, zero_fallback=True),
+            n_patches=2,
+            rng=np.random.default_rng(6),
+        )
         losses = []
-        for stacked in (True, False):
-            layer = PatchedQuantumLayer(
-                lambda i: amplitude_encoder_circuit(3, 8, 2, zero_fallback=True),
-                n_patches=2,
-                rng=np.random.default_rng(6),
-                stacked=stacked,
-            )
-            loss = F.mse_loss(layer(Tensor(x_data)), Tensor(target))
+        for forward in (layer, layer._forward_sequential):
+            layer.zero_grad()
+            loss = F.mse_loss(forward(Tensor(x_data)), Tensor(target))
             loss.backward()
             losses.append(
                 (loss.item(), [p.weights.grad.copy() for p in layer.patches])
@@ -149,13 +151,21 @@ class TestStackedFallbacks:
         for patch in layer.patches:
             assert patch.weights.grad is not None
 
-    def test_stacked_false_forces_sequential(self):
+    def test_stacked_keyword_is_gone(self):
+        # Identical patches always stack; nothing selects the loop for them.
+        with pytest.raises(TypeError, match="stacked"):
+            PatchedQuantumLayer(
+                lambda i: amplitude_encoder_circuit(2, 4, 1),
+                n_patches=2,
+                stacked=False,
+            )
+
+    def test_stacked_is_read_only(self):
         layer = PatchedQuantumLayer(
-            lambda i: amplitude_encoder_circuit(2, 4, 1),
-            n_patches=2,
-            stacked=False,
+            lambda i: amplitude_encoder_circuit(2, 4, 1), n_patches=2
         )
-        assert not layer.stacked
+        with pytest.raises(AttributeError):
+            layer.stacked = False
 
     def test_no_grad_forward_is_untracked(self):
         from repro.nn import no_grad

@@ -6,10 +6,11 @@ guarded here: for ≥50 seeded random circuits (drawn from the shared
 embeddings, both measurements, and re-uploaded inputs) the three execution
 paths must agree on forward outputs *and* adjoint gradients —
 
-* at float64, to near machine precision (the compiled path is literally
-  the stacked substrate at ``p = 1``, and the naive interpreter is an
+* at float64, to near machine precision (the naive interpreter is an
   independent implementation);
-* at float32/complex64, within calibrated single-precision tolerances.
+* at float32/complex64, within calibrated single-precision tolerances;
+* with plain ``==`` between ``execute``/``backward`` and a ``p = 1`` stack
+  at both precisions, because the former is the latter's call.
 
 Dedicated seed bands pin the two geometries most likely to regress:
 1-qubit circuits (no two-qubit lowering, ``left == right == 1`` kernels)
@@ -82,6 +83,13 @@ class TestDifferentialRandomCircuits:
         )
         p = 1 + seed % 2  # alternate degenerate and true stacks
 
+        def stack_agrees(stacked, single):
+            # A p = 1 stack is the very call execute/backward make.
+            if p == 1:
+                np.testing.assert_array_equal(stacked, single)
+            else:
+                np.testing.assert_allclose(stacked, single, atol=1e-10)
+
         # --- float64: near machine-precision agreement -------------------
         out_c, cache_c = execute(circuit, inputs, weights)
         out_n, cache_n = naive_execute(circuit, inputs, weights)
@@ -95,7 +103,7 @@ class TestDifferentialRandomCircuits:
         )
         np.testing.assert_allclose(out_c, out_n, atol=1e-10)
         for k in range(p):
-            np.testing.assert_allclose(out_s[k], out_c, atol=1e-10)
+            stack_agrees(out_s[k], out_c)
 
         grad_outputs = rng.normal(size=out_c.shape)
         gi_c, gw_c = backward(cache_c, grad_outputs)
@@ -105,13 +113,13 @@ class TestDifferentialRandomCircuits:
         )
         np.testing.assert_allclose(gw_c, gw_n, atol=1e-10)
         for k in range(p):
-            np.testing.assert_allclose(gw_s[k], gw_c, atol=1e-10)
+            stack_agrees(gw_s[k], gw_c)
         if gi_n is None:
             assert gi_c is None and gi_s is None
         else:
             np.testing.assert_allclose(gi_c, gi_n, atol=1e-10)
             for k in range(p):
-                np.testing.assert_allclose(gi_s[k], gi_c, atol=1e-10)
+                stack_agrees(gi_s[k], gi_c)
 
         # --- float32: relaxed single-precision agreement -----------------
         out32_c, cache32_c = execute(circuit, inputs, weights, dtype="float32")
@@ -125,6 +133,8 @@ class TestDifferentialRandomCircuits:
         np.testing.assert_allclose(out32_c, out_c, atol=F32_FWD_ATOL)
         np.testing.assert_allclose(out32_n, out_c, atol=F32_FWD_ATOL)
         np.testing.assert_allclose(out32_s[0], out_c, atol=F32_FWD_ATOL)
+        if p == 1:
+            np.testing.assert_array_equal(out32_s[0], out32_c)
 
         gi32_c, gw32_c = backward(cache32_c, grad_outputs)
         gi32_n, gw32_n = naive_backward(cache32_n, grad_outputs)
@@ -134,10 +144,14 @@ class TestDifferentialRandomCircuits:
         np.testing.assert_allclose(gw32_c, gw_c, atol=F32_GRAD_ATOL)
         np.testing.assert_allclose(gw32_n, gw_c, atol=F32_GRAD_ATOL)
         np.testing.assert_allclose(gw32_s[0], gw_c, atol=F32_GRAD_ATOL)
+        if p == 1:
+            np.testing.assert_array_equal(gw32_s[0], gw32_c)
         if gi_c is not None:
             np.testing.assert_allclose(gi32_c, gi_c, atol=F32_GRAD_ATOL)
             np.testing.assert_allclose(gi32_n, gi_c, atol=F32_GRAD_ATOL)
             np.testing.assert_allclose(gi32_s[0], gi_c, atol=F32_GRAD_ATOL)
+            if p == 1:
+                np.testing.assert_array_equal(gi32_s[0], gi32_c)
 
     @pytest.mark.parametrize("seed", range(0, N_SEEDS, 6))
     def test_sparse_parameter_shift_anchor(

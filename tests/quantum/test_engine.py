@@ -1,9 +1,9 @@
 """Property tests for the compiled execution engine.
 
-The compiled plan — since the unification, the degenerate ``p = 1`` view of
-the stacked block/kernel substrate (fused runs, adjacent-wire 4x4 kron
-pairs, diagonal/permutation kernels, composed ring gathers, checkpointed
-transition-matrix backward) — must be *indistinguishable* from the naive
+A single circuit runs the stacked plan at ``p = 1`` (fused runs,
+adjacent-wire 4x4 kron pairs, diagonal/permutation kernels, composed ring
+gathers, checkpointed transition-matrix backward), and it must be
+*indistinguishable* from the naive
 op-by-op interpreter: identical forward outputs and identical adjoint
 gradients, to near machine precision, across randomized circuits covering
 every gate in ``_PARAMETRIC | _FIXED``, both embeddings, both measurement
@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from repro.quantum import (
     Circuit,
     Operation,
+    StackedExecutionCache,
     StackedPlan,
     backward,
-    compile_circuit,
-    compiled_plan,
+    compile_stacked,
     execute,
     naive_backward,
     naive_execute,
@@ -133,7 +133,7 @@ class TestCompiledMatchesNaive:
 class TestPlanLowering:
     def test_sel_rot_triples_fuse_into_pair_blocks(self):
         circuit = Circuit(4).strongly_entangling_layers(2).measure_expval()
-        plan = compile_circuit(circuit)
+        plan = compile_stacked(circuit)
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         perms = [i for i in plan.instructions if isinstance(i, _SPermutation)]
         # 2 layers x 4 wires: each layer's Rot triples merge into two 4x4
@@ -151,14 +151,14 @@ class TestPlanLowering:
         # RY(0), CNOT(1,2), RY(0): the CNOT does not touch wire 0, so the
         # two RYs fuse into a single run.
         circuit = Circuit(3).ry(0).cnot(1, 2).ry(0).measure_expval()
-        plan = compile_circuit(circuit)
+        plan = compile_stacked(circuit)
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         assert len(dense) == 1
         assert len(dense[0].slots[0][0]) == 2
 
     def test_two_qubit_gate_breaks_runs_on_its_wires(self):
         circuit = Circuit(2).ry(0).cnot(0, 1).ry(0).measure_expval()
-        plan = compile_circuit(circuit)
+        plan = compile_stacked(circuit)
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         assert len(dense) == 2
 
@@ -167,7 +167,7 @@ class TestPlanLowering:
             Circuit(3).rz(0).z(1).x(2).cz(0, 1).cnot(0, 2).crz(0, 1)
             .measure_probs()
         )
-        plan = compile_circuit(circuit)
+        plan = compile_stacked(circuit)
         kinds = [type(i).__name__ for i in plan.instructions]
         # The lone X and the CNOT compose into a single gather.
         assert kinds == [
@@ -187,20 +187,48 @@ class TestPlanLowering:
 
 
 class TestUnifiedSubstrate:
-    """The per-instance plan IS the stacked substrate at p = 1."""
+    """A single circuit IS the stacked substrate at p = 1."""
 
-    def test_compiled_plan_is_a_stacked_plan(self):
+    def test_execute_runs_the_stacked_plan(self):
         circuit = Circuit(3).strongly_entangling_layers(2).measure_expval()
-        assert isinstance(compiled_plan(circuit), StackedPlan)
+        weights = np.linspace(-1, 1, circuit.n_weights)
+        __, cache = execute(circuit, None, weights)
+        assert isinstance(cache, StackedExecutionCache)
+        assert cache.n_patches == 1
+        assert isinstance(cache.plan, StackedPlan)
+        assert cache.plan is stacked_plan(circuit)
 
-    def test_compiled_and_stacked_share_the_lowered_program(self):
-        # One lowering serves both views: the instruction list and static
-        # groups are the *same objects*, not structurally equal copies.
-        circuit = Circuit(4).strongly_entangling_layers(3).measure_expval()
-        cplan = compiled_plan(circuit)
-        splan = stacked_plan(circuit)
-        assert cplan.instructions is splan.instructions
-        assert cplan.groups is splan.groups
+    def test_backward_rejects_a_naive_cache(self):
+        circuit = Circuit(2).strongly_entangling_layers(1).measure_expval()
+        weights = np.linspace(-1, 1, circuit.n_weights)
+        out, cache = naive_execute(circuit, None, weights)
+        with pytest.raises(ValueError, match="naive_backward"):
+            backward(cache, np.ones(out.shape))
+        __, cache = execute(circuit, None, weights)
+        with pytest.raises(ValueError, match="naive_execute"):
+            naive_backward(cache, np.ones(out.shape))
+
+    @pytest.mark.parametrize("embedding", ["amplitude", "angle"])
+    def test_wide_inputs_read_the_leading_columns(self, embedding):
+        rng = np.random.default_rng(32)
+        circuit = Circuit(2)
+        if embedding == "amplitude":
+            circuit.amplitude_embedding(4)
+        else:
+            circuit.angle_embedding(2)
+        circuit.strongly_entangling_layers(1).measure_expval()
+        weights = rng.uniform(-np.pi, np.pi, circuit.n_weights)
+        inputs = rng.uniform(0.1, 1.0, size=(3, circuit.n_inputs))
+        wide = np.concatenate([inputs, rng.normal(size=(3, 5))], axis=1)
+        out, cache = execute(circuit, inputs, weights)
+        out_w, cache_w = execute(circuit, wide, weights)
+        np.testing.assert_array_equal(out_w, out)
+        grad_outputs = rng.normal(size=out.shape)
+        gi, gw = backward(cache, grad_outputs)
+        gi_w, gw_w = backward(cache_w, grad_outputs)
+        np.testing.assert_array_equal(gw_w, gw)
+        np.testing.assert_array_equal(gi_w, gi)
+        assert gi_w.shape == (3, circuit.n_inputs)
 
     def test_single_circuit_equals_p1_stack(self):
         from repro.quantum import backward_stacked, execute_stacked
@@ -227,13 +255,13 @@ class TestUnifiedSubstrate:
 class TestPlanCaching:
     def test_plan_cached_on_circuit(self):
         circuit = Circuit(3).strongly_entangling_layers(1).measure_expval()
-        assert compiled_plan(circuit) is compiled_plan(circuit)
+        assert stacked_plan(circuit) is stacked_plan(circuit)
 
     def test_mutation_invalidates_plan(self):
         circuit = Circuit(3).strongly_entangling_layers(1).measure_expval()
-        plan = compiled_plan(circuit)
+        plan = stacked_plan(circuit)
         circuit.ry(0)
-        new_plan = compiled_plan(circuit)
+        new_plan = stacked_plan(circuit)
         assert new_plan is not plan
         assert new_plan.n_instructions != plan.n_instructions
 
@@ -241,15 +269,15 @@ class TestPlanCaching:
         def make():
             return Circuit(3).strongly_entangling_layers(2).measure_expval()
 
-        assert compiled_plan(make()) is compiled_plan(make())
+        assert stacked_plan(make()) is stacked_plan(make())
 
     def test_execute_reuses_plan(self):
         circuit = Circuit(2).strongly_entangling_layers(1).measure_expval()
         weights = np.linspace(-1, 1, circuit.n_weights)
         execute(circuit, None, weights, want_cache=False)
-        plan = circuit._compiled_plan
+        plan = circuit._stacked_plan
         execute(circuit, None, weights, want_cache=False)
-        assert circuit._compiled_plan is plan
+        assert circuit._stacked_plan is plan
 
 
 class TestCacheCarriesEmbedding:

@@ -286,10 +286,10 @@ class TestDrawerOnFusedPlans:
     lowered plan must never change or truncate what is drawn."""
 
     def test_fused_plan_circuit_draws_every_op(self):
-        from repro.quantum import compiled_plan
+        from repro.quantum import stacked_plan
 
         circuit = Circuit(3).strongly_entangling_layers(2).measure_expval()
-        plan = compiled_plan(circuit)
+        plan = stacked_plan(circuit)
         # The plan fuses aggressively (Rot triples -> pair blocks, rings ->
         # one gather) ...
         assert plan.n_instructions < len(circuit.ops)
@@ -301,11 +301,11 @@ class TestDrawerOnFusedPlans:
         assert art.count("o") == 6
 
     def test_adjacent_wire_merged_runs_keep_their_columns(self):
-        from repro.quantum import compiled_plan
+        from repro.quantum import stacked_plan
         from repro.quantum.engine import _SDense
 
         circuit = Circuit(2).rot(0).rot(1).measure_expval()
-        plan = compiled_plan(circuit)
+        plan = stacked_plan(circuit)
         pairs = [
             i for i in plan.instructions
             if isinstance(i, _SDense) and i.d == 4

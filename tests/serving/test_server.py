@@ -144,6 +144,48 @@ class TestWireErrors:
             # answers the ping.
             assert client.ping()
 
+    @pytest.mark.parametrize("message", [
+        {"kind": "sample", "count": 2.9},
+        {"kind": "sample", "count": True},
+        {"kind": "sample", "count": "2"},
+        {"kind": "sample", "count": 2, "seed": 1.5},
+        {"kind": "sample", "count": 2, "seed": False},
+    ], ids=["float_count", "bool_count", "string_count", "float_seed",
+            "bool_seed"])
+    def test_count_and_seed_must_be_json_integers(self, server, message):
+        # 2.9 used to sample 2 matrices and true 1.
+        with client_for(server) as client:
+            client._file.write(json.dumps(message) + "\n")
+            client._file.flush()
+            response = json.loads(client._file.readline())
+            assert response["ok"] is False
+            assert response["error"] == "bad_request"
+            assert "must be a JSON integer" in response["message"]
+            assert client.ping()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("kind", ["encode", "score"])
+    def test_non_finite_arrays_are_bad_requests(self, server, kind, bad):
+        # Python's json reads NaN/Infinity, so these reach the service.
+        if kind == "encode":
+            rows = np.ones((1, 64)).tolist()
+            rows[0][5] = bad
+            message = {"kind": "encode", "features": rows}
+        else:
+            rows = np.zeros((1, 8, 8)).tolist()
+            rows[0][2][2] = bad
+            message = {"kind": "score", "matrices": rows}
+        line = json.dumps(message)
+        assert "NaN" in line or "Infinity" in line
+        with client_for(server) as client:
+            client._file.write(line + "\n")
+            client._file.flush()
+            response = json.loads(client._file.readline())
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+        assert "must be finite" in response["message"]
+
     def test_sample_from_plain_ae_maps_to_bad_request(self, tmp_path):
         path = save_module(
             ClassicalAE(input_dim=64, latent_dim=6,

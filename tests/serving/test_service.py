@@ -203,6 +203,27 @@ class TestValidation:
             with pytest.raises(ValueError, match="matrix stack"):
                 service.score(np.zeros((2, 8, 9)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_rejects_non_finite_features(self, sq_vae_checkpoint,
+                                                bad):
+        # A NaN feature used to come back as NaN latents.
+        features = np.ones((2, 64))
+        features[1, 3] = bad
+        with GenerationService(default_checkpoint=sq_vae_checkpoint) as service:
+            with pytest.raises(ValueError, match="features must be finite"):
+                service.encode(features)
+            assert service.stats()["batcher"]["requests"] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_score_rejects_non_finite_cells(self, vae_checkpoint, bad):
+        # A non-finite cell used to score as if the cell were absent.
+        matrices = np.zeros((2, 8, 8))
+        matrices[0, 1, 1] = bad
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
+            with pytest.raises(ValueError, match="matrices must be finite"):
+                service.score(matrices)
+            assert service.stats()["batcher"]["requests"] == 0
+
     def test_no_default_and_no_checkpoint_is_an_error(self):
         with GenerationService() as service:
             with pytest.raises(ServingError, match="no checkpoint named"):
