@@ -5,19 +5,30 @@ reference corpus) minus complexity penalties (size, ring bridges/spiro,
 macrocycles), rescaled to [1, 10] where 1 = easy to synthesize.
 
 Substitution note: Ertl's published fragment contribution table is derived
-from ~1M PubChem molecules, which are not available offline.  We rebuild the
-same statistic from a seeded reference corpus drawn from this package's
+from ~1M PubChem molecules, which are not available offline.  We compute
+the same statistic over a seeded reference corpus drawn from this package's
 drug-like molecule generator: each atom's radius-2 environment is hashed,
 frequencies are counted, and contributions are the centered log-probability
 exactly as in the original method.  Rare/strained environments therefore
 still score as hard to synthesize, which is the behaviour Table II's
 normalized SA column measures.
+
+The corpus counts ship as data, ``sa_fragments.json`` beside this module,
+one environment per line in the order the corpus first produces it, so no
+process regenerates the corpus.  :func:`corpus_fragment_counts` recomputes
+them and a test checks the file against it with ``==``.  After any change
+to :func:`environment_key`, the molecule generator or the corpus constants
+below, rewrite the file from the repository root with::
+
+    PYTHONPATH=src python -c "from repro.chem.sa import write_fragment_counts; write_fragment_counts()"
 """
 
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -27,12 +38,22 @@ from .molecule import Molecule
 __all__ = [
     "environment_key",
     "FragmentTable",
+    "corpus_fragment_counts",
     "default_fragment_table",
     "sa_score",
+    "write_fragment_counts",
 ]
 
 _CORPUS_SIZE = 600
 _CORPUS_SEED = 20220318
+_CORPUS_SPEC = MoleculeSpec(
+    min_atoms=6,
+    max_atoms=28,
+    hetero_weights={"N": 0.10, "O": 0.12, "F": 0.02, "S": 0.03},
+    ring_closure_prob=0.5,
+    max_ring_closures=3,
+)
+FRAGMENTS_FILE = Path(__file__).with_name("sa_fragments.json")
 
 
 def environment_key(mol: Molecule, index: int, radius: int = 2) -> str:
@@ -70,20 +91,18 @@ def environment_key(mol: Molecule, index: int, radius: int = 2) -> str:
 
 
 class FragmentTable:
-    """Log-frequency contributions of atom environments in a corpus."""
+    """Log-frequency contributions of atom environments in a corpus.
 
-    def __init__(self, molecules: list[Molecule], radius: int = 2):
-        counts: dict[str, int] = {}
-        total = 0
-        for mol in molecules:
-            for index in range(mol.num_atoms):
-                key = environment_key(mol, index, radius)
-                counts[key] = counts.get(key, 0) + 1
-                total += 1
-        if total == 0:
+    ``counts`` maps each environment key to its number of atoms in the
+    corpus.  The contributions depend on its iteration order in the last
+    bits (the centre is a float sum in that order), so a table rebuilt from
+    the same counts in the same order is ``==`` to the original.
+    """
+
+    def __init__(self, counts: dict[str, int], radius: int = 2):
+        if not counts:
             raise ValueError("fragment table needs a non-empty corpus")
         self.radius = radius
-        self._total = total
         # Ertl: contribution = log10(count) - log10(median-ish scale);
         # center on the corpus mean so common fragments score ~0.
         self._log_counts = {k: math.log10(v) for k, v in counts.items()}
@@ -120,17 +139,30 @@ class FragmentTable:
         ) / mol.num_atoms
 
 
+def corpus_fragment_counts() -> dict[str, int]:
+    """Environment counts of the seeded reference corpus, in first-seen order.
+
+    This regenerates the corpus; ``sa_fragments.json`` ships its result.
+    """
+    counts: dict[str, int] = {}
+    for mol in random_molecules(_CORPUS_SIZE, _CORPUS_SEED, _CORPUS_SPEC):
+        for index in range(mol.num_atoms):
+            key = environment_key(mol, index)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def write_fragment_counts(path: str | Path = FRAGMENTS_FILE) -> None:
+    """Rewrite the shipped counts from the corpus, one key per line."""
+    text = json.dumps(corpus_fragment_counts(), indent=0)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
 @lru_cache(maxsize=1)
 def default_fragment_table() -> FragmentTable:
-    """Reference table built from the seeded drug-like corpus (cached)."""
-    spec = MoleculeSpec(
-        min_atoms=6,
-        max_atoms=28,
-        hetero_weights={"N": 0.10, "O": 0.12, "F": 0.02, "S": 0.03},
-        ring_closure_prob=0.5,
-        max_ring_closures=3,
-    )
-    return FragmentTable(random_molecules(_CORPUS_SIZE, _CORPUS_SEED, spec))
+    """Reference table loaded from the shipped corpus counts (cached)."""
+    with open(FRAGMENTS_FILE, encoding="utf-8") as handle:
+        return FragmentTable(json.load(handle))
 
 
 def _complexity_penalty(mol: Molecule) -> float:

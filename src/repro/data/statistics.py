@@ -1,9 +1,11 @@
 """Dataset statistics for molecule-matrix datasets.
 
 Quantifies what the generators actually produce — atom/bond composition,
-size distribution, sparsity — so DESIGN.md's claim that the synthetic
-stand-ins match the paper's data *in the ways the models care about* is
-checkable, and so users can compare their own datasets.
+size distribution, sparsity — so the claim that the synthetic QM9 and
+PDBbind stand-ins match the paper's data *in the ways the models care
+about* (sparse symmetric matrices, realistic ring and heteroatom content;
+see :mod:`repro.chem.generation`) is checkable, and so users can compare
+their own datasets.
 """
 
 from __future__ import annotations

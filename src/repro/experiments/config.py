@@ -8,8 +8,10 @@ with the ``REPRO_FULL=1`` environment variable or by passing a scale
 explicitly.
 
 The quantities reproduced are *shapes* (orderings, crossovers, win/loss),
-which are stable under this subsampling; EXPERIMENTS.md records both the
-paper's values and ours.
+which are stable under this subsampling.  Where the paper prints numbers
+(Table I, Table II, the Fig. 7 optimum) the experiment prints them beside
+ours; which of the paper's claims hold at this scale, seed by seed, is
+listed in ROADMAP.md under "The paper's claims at quick scale".
 """
 
 from __future__ import annotations

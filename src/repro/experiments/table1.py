@@ -2,8 +2,11 @@
 
 Builds each 64-feature architecture (L = 3 entangling layers, latent 6) and
 counts quantum / classical / total trainable scalars, next to the numbers
-printed in the paper.  Everything except the classical MLP's +132 delta
-(see DESIGN.md) reproduces exactly.
+printed in the paper.  Everything reproduces exactly except the classical
+rows: the 64-32-16-6 encoder and 6-16-32-64 decoder hold 5478 weights
+(AE) and 5562 (VAE), 132 fewer than the paper prints for each, and the
+paper's text names no layer that would account for them.  The VAE - AE
+difference of 84 (two ``Linear(6, 6)`` heads) matches.
 """
 
 from __future__ import annotations

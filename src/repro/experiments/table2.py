@@ -131,8 +131,9 @@ def run_table2(config: Table2Config | None = None) -> Table2Result:
         }
         for name, model in models.items():
             # Warm-start both decoders at the ligand-matrix mean so short
-            # training budgets still sample non-empty molecules (applied to
-            # classical and quantum models alike; see DESIGN.md).
+            # training budgets still sample non-empty molecules.  The VAE
+            # and the SQ-VAE both end in a classical output layer, so both
+            # get the same start and the comparison stays like-for-like.
             model.init_output_bias(train.features.mean(axis=0))
             train_config = TrainConfig.paper_sq(
                 epochs=config.epochs, seed=config.seed

@@ -9,7 +9,8 @@ object per line in each direction, arrays as nested lists.  Requests::
     {"kind": "ping"} / {"kind": "stats"}
 
 ``count`` and ``seed`` must be JSON integers (a float, boolean or string
-is not coerced), and every array value must be finite.
+is not coerced), ``count`` lies in 1..``service.MAX_SAMPLE_COUNT``, and
+every array value must be finite.
 
 Responses carry ``{"ok": true, ...}`` with the result fields, or
 ``{"ok": false, "error": <name>, "message": <text>}`` where ``error`` is

@@ -44,7 +44,12 @@ from ..nn.tensor import Tensor, no_grad
 from .batcher import MicroBatcher, ServingError
 from .registry import ModelEntry, ModelRegistry
 
-__all__ = ["GenerationService", "per_molecule_scores"]
+__all__ = ["GenerationService", "MAX_SAMPLE_COUNT", "per_molecule_scores"]
+
+# Largest ``count`` one sample request may ask for.  A request decodes
+# ``count`` x ``input_dim`` float64 cells, so without a cap a short line
+# can ask for gigabytes; the serving benchmarks ask for 4 or 8.
+MAX_SAMPLE_COUNT = 1024
 
 
 def per_molecule_scores(matrices: np.ndarray) -> dict[str, np.ndarray]:
@@ -175,6 +180,10 @@ class GenerationService:
                         checkpoint: str | Path | None):
         if count < 1:
             raise ValueError(f"count must be a positive integer, got {count}")
+        if count > MAX_SAMPLE_COUNT:
+            raise ValueError(
+                f"count must be at most {MAX_SAMPLE_COUNT}, got {count}"
+            )
         entry = self._entry(checkpoint)
         if not entry.is_variational:
             raise TypeError(

@@ -39,8 +39,8 @@ class TestClassicalArchitecture:
 
     def test_ae_param_count_structure(self):
         # Encoder 64-32-16-6 + decoder 6-16-32-64 = 5478 trainable weights.
-        # (The paper prints 5610; the +132 delta is unexplained by the text —
-        # see DESIGN.md "Architecture accounting".)
+        # (The paper prints 5610, and 5694 for the VAE: both 132 above ours.
+        # The paper's text names no layer that would account for them.)
         model = ClassicalAE(rng=rng())
         assert model.num_parameters() == 5478
 

@@ -15,6 +15,7 @@ from repro.serving import (
     ServingError,
     per_molecule_scores,
 )
+from repro.serving.service import MAX_SAMPLE_COUNT
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,31 @@ class TestWireErrors:
             assert response["error"] == "bad_request"
             assert "must be a JSON integer" in response["message"]
             assert client.ping()
+
+    def test_sample_count_cap_in_process(self, server):
+        accepted = server.dispatch({"kind": "sample",
+                                    "count": MAX_SAMPLE_COUNT})
+        assert accepted["ok"] is True
+        assert len(accepted["matrices"]) == MAX_SAMPLE_COUNT
+        refused = server.dispatch({"kind": "sample",
+                                   "count": MAX_SAMPLE_COUNT + 1})
+        assert refused["ok"] is False
+        assert refused["error"] == "bad_request"
+        assert f"at most {MAX_SAMPLE_COUNT}" in refused["message"]
+
+    def test_sample_count_cap_over_wire(self, server):
+        with client_for(server) as client:
+            matrices = client.sample(MAX_SAMPLE_COUNT, seed=4)
+            assert matrices.shape == (MAX_SAMPLE_COUNT, 8, 8)
+            line = json.dumps({"kind": "sample",
+                               "count": MAX_SAMPLE_COUNT + 1})
+            client._file.write(line + "\n")
+            client._file.flush()
+            response = json.loads(client._file.readline())
+            assert response["ok"] is False
+            assert response["error"] == "bad_request"
+            assert f"at most {MAX_SAMPLE_COUNT}" in response["message"]
+            assert client.ping()  # connection survives
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])

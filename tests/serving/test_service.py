@@ -24,6 +24,7 @@ from repro.serving import (
     ServingError,
     per_molecule_scores,
 )
+from repro.serving.service import MAX_SAMPLE_COUNT
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,18 @@ class TestValidation:
         with GenerationService(default_checkpoint=vae_checkpoint) as service:
             with pytest.raises(ValueError, match="count must be a positive"):
                 service.sample(0)
+
+    def test_sample_count_is_capped(self, vae_checkpoint):
+        # Nothing used to bound count, so one short request could ask for
+        # gigabytes of decoded matrices.
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
+            matrices = service.sample(MAX_SAMPLE_COUNT, seed=2)
+            assert matrices.shape == (MAX_SAMPLE_COUNT, 8, 8)
+            with pytest.raises(ValueError,
+                               match=f"count must be at most {MAX_SAMPLE_COUNT}"):
+                service.sample(MAX_SAMPLE_COUNT + 1)
+            # The refused request never reached the batcher.
+            assert service.stats()["batcher"]["requests"] == 1
 
     def test_encode_rejects_wrong_width(self, vae_checkpoint):
         with GenerationService(default_checkpoint=vae_checkpoint) as service:
