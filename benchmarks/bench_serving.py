@@ -1,21 +1,22 @@
-"""Serving benchmarks: micro-batched throughput and latency vs flush window.
+"""Serving benchmarks: micro-batched throughput and latency.
 
 Stands up a real :class:`repro.serving.GenerationService` over a saved
 ScalableQuantumVAE checkpoint (the paper's architecture — its stacked
 ``(p * batch, 2**n)`` passes are what micro-batching exists to feed) and
 drives it with concurrent client threads issuing sample requests, exactly
-as the TCP front end would.  For each flush window the scenario records:
+as the TCP front end would.  Each scenario records:
 
 * molecules/sec end-to-end throughput (wall clock over the whole swarm),
-* p50 / p99 per-request latency (the price a request pays for co-riders),
-* the batcher's mean batch size (how much fusion the window actually buys).
+* p50 / p99 per-request latency,
+* the batcher's mean batch size (how many requests queued up behind a
+  running batch and shared the next pass).
 
-``run_sequential`` is the baseline: one client, zero flush window — every
-request pays a full engine pass of its own.  The ratio of swarm throughput
-to sequential throughput is the number the serving layer exists to move.
+``run_sequential`` is the baseline: one client, so every request pays a
+full engine pass of its own.  The ratio of swarm throughput to sequential
+throughput is the number the serving layer exists to move.
 
-``run_serving.py`` sweeps the windows, stamps the payload via
-``bench_machine.py``, and enforces the floors in ``--check`` mode.
+``run_serving.py`` runs both, stamps the payload via ``bench_machine.py``,
+and enforces the floors in ``--check`` mode.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ REQUESTS_PER_CLIENT = 6
 SAMPLES_PER_REQUEST = 4
 MOLECULES_PER_RUN = CLIENTS * REQUESTS_PER_CLIENT * SAMPLES_PER_REQUEST
 
-# Flush windows swept by run_serving.py (milliseconds).  0 still fuses
-# whatever backlog concurrency builds up; the positive windows trade
-# latency for guaranteed fusion.
-FLUSH_WINDOWS_MS = (0.0, 1.0, 2.0, 5.0)
-
 MODEL_SPEC = {"model": "sq-vae", "input_dim": 64, "n_patches": 4,
               "n_layers": 1, "latent_dim": None, "seed": 0}
 
@@ -59,7 +55,7 @@ def _checkpoint_path() -> str:
     return str(save_module(model, directory / "sq-vae", metadata=MODEL_SPEC))
 
 
-def run_scenario(flush_ms: float, *, clients: int = CLIENTS,
+def run_scenario(*, clients: int = CLIENTS,
                  requests_per_client: int = REQUESTS_PER_CLIENT,
                  samples_per_request: int = SAMPLES_PER_REQUEST) -> dict:
     """One serving run: ``clients`` threads, back-to-back sample requests.
@@ -69,7 +65,6 @@ def run_scenario(flush_ms: float, *, clients: int = CLIENTS,
     """
     service = GenerationService(
         default_checkpoint=_checkpoint_path(),
-        flush_window=flush_ms / 1000.0,
         max_batch=64,
         default_timeout=120.0,
     )
@@ -100,7 +95,6 @@ def run_scenario(flush_ms: float, *, clients: int = CLIENTS,
     molecules = clients * requests_per_client * samples_per_request
     ordered = np.sort(latencies)
     return {
-        "flush_ms": flush_ms,
         "clients": clients,
         "molecules": molecules,
         "wall_s": round(wall, 6),
@@ -114,9 +108,9 @@ def run_scenario(flush_ms: float, *, clients: int = CLIENTS,
 
 
 def run_sequential() -> dict:
-    """Baseline: the same request stream with no concurrency and no window."""
+    """Baseline: the same request stream from one client, no concurrency."""
     return run_scenario(
-        0.0, clients=1,
+        clients=1,
         requests_per_client=CLIENTS * REQUESTS_PER_CLIENT,
         samples_per_request=SAMPLES_PER_REQUEST,
     )

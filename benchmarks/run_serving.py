@@ -1,4 +1,4 @@
-"""Serving-benchmark runner: sweep flush windows, write BENCH_serving.json.
+"""Serving-benchmark runner: concurrent vs sequential, write BENCH_serving.json.
 
 Same discipline as ``run_pipeline.py``: :mod:`bench_serving` scenarios run
 for ``--rounds`` rounds each (best round kept — thread-scheduling noise
@@ -12,9 +12,10 @@ they catch the serving layer *collapsing*, not slow hardware:
 * ``SPEEDUP_FLOOR`` — concurrent micro-batched throughput over the
   sequential per-request baseline.  Falls to ~1.0x if batching silently
   degrades to one engine pass per request.
-* ``FUSION_FLOOR`` — the best mean batch size seen across the sweep.
-  Falls to 1.0 if requests stop sharing passes.
-* ``THROUGHPUT_FLOOR`` — absolute molecules/sec of the best scenario.
+* ``FUSION_FLOOR`` — the concurrent scenario's mean batch size.  Falls
+  to 1.0 if requests stop sharing passes.
+* ``THROUGHPUT_FLOOR`` — absolute molecules/sec of the concurrent
+  scenario.
 
 Usage::
 
@@ -91,29 +92,19 @@ def main(argv=None) -> int:
     bench_serving._checkpoint_path()  # build + warm outside the timers
 
     sequential = best_of(args.rounds, bench_serving.run_sequential)
-    print(f"{'sequential':>14s}  {sequential['molecules_per_sec']:8.1f} "
-          f"mol/s  p50 {sequential['p50_latency_ms']:7.3f} ms  "
-          f"p99 {sequential['p99_latency_ms']:7.3f} ms", file=sys.stderr)
-
-    sweep = {}
-    for flush_ms in bench_serving.FLUSH_WINDOWS_MS:
-        result = best_of(
-            args.rounds, lambda fm=flush_ms: bench_serving.run_scenario(fm)
-        )
-        sweep[f"{flush_ms:g}ms"] = result
-        print(f"{f'flush {flush_ms:g} ms':>14s}  "
-              f"{result['molecules_per_sec']:8.1f} mol/s  "
+    concurrent = best_of(args.rounds, bench_serving.run_scenario)
+    for name, result in (("sequential", sequential),
+                         ("concurrent", concurrent)):
+        print(f"{name:>14s}  {result['molecules_per_sec']:8.1f} mol/s  "
               f"p50 {result['p50_latency_ms']:7.3f} ms  "
               f"p99 {result['p99_latency_ms']:7.3f} ms  "
               f"mean batch {result['mean_batch_size']:5.2f}",
               file=sys.stderr)
 
-    best_key = max(sweep, key=lambda k: sweep[k]["molecules_per_sec"])
-    best = sweep[best_key]
     speedup = round(
-        best["molecules_per_sec"] / sequential["molecules_per_sec"], 3
+        concurrent["molecules_per_sec"] / sequential["molecules_per_sec"], 3
     )
-    fusion = max(result["mean_batch_size"] for result in sweep.values())
+    fusion = concurrent["mean_batch_size"]
 
     payload = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -128,10 +119,8 @@ def main(argv=None) -> int:
             "molecules_per_run": bench_serving.MOLECULES_PER_RUN,
         },
         "sequential": sequential,
-        "flush_sweep": sweep,
-        "best_flush": best_key,
+        "concurrent": concurrent,
         "speedup_vs_sequential": speedup,
-        "best_mean_batch_size": fusion,
         "floors": {
             "speedup_vs_sequential": SPEEDUP_FLOOR,
             "mean_batch_size": FUSION_FLOOR,
@@ -150,13 +139,13 @@ def main(argv=None) -> int:
             )
         if fusion < FUSION_FLOOR:
             failures.append(
-                f"REGRESSION best mean batch size {fusion:.2f} below floor "
+                f"REGRESSION mean batch size {fusion:.2f} below floor "
                 f"{FUSION_FLOOR:.1f} — requests are not sharing passes"
             )
-        if best["molecules_per_sec"] < THROUGHPUT_FLOOR:
+        if concurrent["molecules_per_sec"] < THROUGHPUT_FLOOR:
             failures.append(
-                f"REGRESSION best throughput "
-                f"{best['molecules_per_sec']:.1f} molecules/sec below "
+                f"REGRESSION concurrent throughput "
+                f"{concurrent['molecules_per_sec']:.1f} molecules/sec below "
                 f"floor {THROUGHPUT_FLOOR:.1f}"
             )
         for line in failures:

@@ -21,13 +21,16 @@ a client connection sends one JSON object per line (``{"kind":
 ``score`` with matrix stacks); the handler thread validates it, resolves
 the checkpoint through the warm :class:`~repro.serving.ModelRegistry`
 (deserialization and plan lowering are paid once per model, never per
-request), and enqueues it on the bounded micro-batch queue.  The worker
-thread accumulates concurrent requests for up to ``--flush-ms``
-milliseconds (or ``--max-batch`` requests), executes each model's group
-as ONE stacked engine pass, and splits the rows back per request; the
-handler writes the JSON response line.  A full queue answers
-``queue_full`` (backpressure) and a request that outlives ``--timeout``
-answers ``request_timeout`` — callers never hang.
+request), and enqueues it on the bounded micro-batch queue.  As soon as
+the worker thread is free it takes the first pending request plus the
+backlog queued behind it (up to ``--max-batch`` requests), executes each
+model's group as ONE stacked engine pass, and splits the rows back per
+request; requests arriving meanwhile form the next batch.  The handler
+writes the JSON response line.  A line longer than
+``server.MAX_LINE_BYTES`` is answered ``bad_request`` and the connection
+closed; a full queue answers ``queue_full`` (backpressure) and a request
+that outlives ``--timeout`` answers ``request_timeout`` — callers never
+hang.
 :class:`repro.serving.NetworkClient` speaks this protocol;
 :class:`repro.serving.Client` gives the same API in process.
 """
@@ -254,7 +257,6 @@ def _cmd_serve(args) -> int:
     _resolve_checkpoint(args.checkpoint)
     service = GenerationService(
         default_checkpoint=args.checkpoint,
-        flush_window=args.flush_ms / 1000.0,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         default_timeout=args.timeout,
@@ -263,8 +265,8 @@ def _cmd_serve(args) -> int:
                               max_requests=args.max_requests)
     host, port = server.server_address[:2]
     print(f"serving {args.checkpoint} on {host}:{port} "
-          f"(flush {args.flush_ms:g} ms, max batch {args.max_batch}, "
-          f"queue {args.max_queue})")
+          f"(batches run when the worker is free, max batch "
+          f"{args.max_batch}, queue {args.max_queue})")
     if args.ready_file:
         # Readiness handshake for supervisors and tests: the bound
         # address appears in the file only once the socket is listening.
@@ -356,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument("--port", type=_port, default=7411,
                        help="TCP port (0 = let the OS pick)")
-    serve.add_argument("--flush-ms", type=_positive_float, default=5.0,
-                       help="micro-batch flush window in milliseconds")
     serve.add_argument("--max-batch", type=_positive_int, default=64,
                        help="max requests fused into one stacked pass")
     serve.add_argument("--max-queue", type=_positive_int, default=256,

@@ -1,16 +1,17 @@
-"""High-throughput generation service: micro-batched serving over warm models.
+"""Generation service: micro-batched sampling and scoring over warm models.
 
-Production framing for the ROADMAP's "millions of users" north star: the
-engine's stacked ``(p * batch, 2**n)`` substrate executes one big pass as
-cheaply per row as many small ones, so the serving layer's whole job is
-to *make* big passes out of concurrent small requests:
+The SQ-VAE exists to sample new ligands and score them (QED, logP, SA).
+The engine's stacked ``(p * batch, 2**n)`` substrate runs one pass over
+many rows for less than the same rows split across several passes, so
+the serving layer fuses concurrent small requests into shared passes
+whenever it can do so without making any of them wait:
 
 * :class:`ModelRegistry` — warm LRU cache of deserialized checkpoints
   (rebuilt at their recorded precision) with circuit/graph plans
   pre-lowered, keyed by parameter fingerprint + execution metadata;
-* :class:`MicroBatcher` — bounded-queue worker that accumulates requests
-  into micro-batches under a max-latency flush window, with per-request
-  timeouts and backpressure instead of hangs;
+* :class:`MicroBatcher` — bounded-queue worker that runs each batch as
+  soon as it is free, fusing the requests queued behind it, with
+  per-request timeouts and backpressure instead of hangs;
 * :class:`GenerationService` — sample / encode / score over both,
   batches split back per request;
 * :class:`Client` / :class:`NetworkClient` — in-process and JSON-lines

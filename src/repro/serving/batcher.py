@@ -9,11 +9,11 @@ requests into exactly that shape:
    stamped with its timeout deadline and pushed onto a *bounded* queue.
    A full queue raises :class:`QueueFull` immediately instead of letting
    producers outrun the worker into unbounded memory (backpressure).
-2. **accumulate** — a single worker thread opens a batch with the first
-   pending request, drains whatever backlog is already queued, and then
-   keeps the batch open for at most ``flush_window`` seconds or until
-   ``max_batch`` requests are collected, whichever comes first.  A zero
-   window still batches a backlog — it only stops *waiting* for more.
+2. **drain** — a single worker thread opens a batch with the first
+   pending request and adds whatever backlog is already queued, up to
+   ``max_batch`` requests, then runs it at once; it never waits for more.
+   Requests that arrive while a batch executes queue up and form the
+   next batch, so concurrent callers fuse whenever the worker is busy.
 3. **execute** — the batch is grouped by key (requests for different
    models or different request kinds never mix); each group runs through
    the ``execute`` callable as one stacked pass, and each request's slice
@@ -35,7 +35,7 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "ServingError",
@@ -83,7 +83,6 @@ class BatcherStats:
     groups: int = 0
     expired: int = 0
     batch_size_max: int = 0
-    _sizes: list = field(default_factory=list, repr=False)
 
     @property
     def mean_batch_size(self) -> float:
@@ -94,8 +93,6 @@ class BatcherStats:
         self.batches += 1
         self.requests += size
         self.batch_size_max = max(self.batch_size_max, size)
-        if len(self._sizes) < 4096:
-            self._sizes.append(size)
 
     def as_dict(self) -> dict:
         return {
@@ -109,25 +106,20 @@ class BatcherStats:
 
 
 class MicroBatcher:
-    """Accumulates concurrent requests into batches for one executor.
+    """Fuses queued concurrent requests into batches for one executor.
 
     ``execute(key, payloads)`` receives every payload of one key group and
-    must return one result per payload, in order.  ``flush_window`` is the
-    max extra latency a request pays waiting for co-riders; ``max_batch``
-    caps requests per flush; ``max_queue`` bounds pending requests;
-    ``default_timeout`` (seconds, None = wait forever) applies to requests
-    submitted without their own.  Both durations must be finite: an
-    infinite window would stall the worker on its first request, and a
+    must return one result per payload, in order.  The worker runs each
+    batch as soon as it is free: a batch is the first pending request
+    plus the backlog queued behind it, so no request waits for co-riders.
+    ``max_batch`` caps requests per flush; ``max_queue`` bounds pending
+    requests; ``default_timeout`` (seconds, None = wait forever) applies
+    to requests submitted without their own, and must be finite: a
     ``nan`` or infinite timeout breaks every deadline computed from it.
     """
 
-    def __init__(self, execute, *, flush_window: float = 0.005,
-                 max_batch: int = 64, max_queue: int = 256,
+    def __init__(self, execute, *, max_batch: int = 64, max_queue: int = 256,
                  default_timeout: float | None = 30.0):
-        if not (math.isfinite(flush_window) and flush_window >= 0):
-            raise ValueError(
-                f"flush_window must be finite and >= 0, got {flush_window!r}"
-            )
         if default_timeout is not None and not (
             math.isfinite(default_timeout) and default_timeout > 0
         ):
@@ -140,7 +132,6 @@ class MicroBatcher:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self._execute = execute
-        self.flush_window = flush_window
         self.max_batch = max_batch
         self.default_timeout = default_timeout
         self.stats = BatcherStats()
@@ -219,7 +210,7 @@ class MicroBatcher:
                 return
 
     def _collect(self, first: _Request) -> tuple[list[_Request], bool]:
-        """One batch: drain the backlog, then wait out the flush window."""
+        """One batch: ``first`` plus the backlog already queued behind it."""
         batch = [first]
         while len(batch) < self.max_batch:
             try:
@@ -229,19 +220,6 @@ class MicroBatcher:
             if item is _SHUTDOWN:
                 return batch, True
             batch.append(item)
-        if self.flush_window > 0:
-            deadline = time.monotonic() + self.flush_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    return batch, True
-                batch.append(item)
         return batch, False
 
     def _flush(self, batch: list[_Request]) -> None:

@@ -16,9 +16,14 @@ Responses carry ``{"ok": true, ...}`` with the result fields, or
 ``{"ok": false, "error": <name>, "message": <text>}`` where ``error`` is
 one of ``queue_full`` / ``request_timeout`` / ``service_closed`` /
 ``bad_request`` / ``error`` — :class:`repro.serving.client.NetworkClient`
-maps these back onto the :class:`ServingError` hierarchy.  A line that is
-not valid JSON, or is JSON but not an object, gets one ``bad_request``
-reply and the connection stays open.
+maps these back onto the :class:`ServingError` hierarchy.  Every
+non-blank line gets exactly one reply.  A line that cannot be decoded
+(invalid UTF-8, malformed JSON, nesting deeper than the parser allows),
+is JSON but not an object, or lacks a field its kind requires gets one
+``bad_request`` reply and the connection stays open.  A line longer than
+:data:`MAX_LINE_BYTES` gets one ``bad_request`` naming the cap, and the
+server then closes that connection, because the unread rest of the line
+cannot be told apart from the next request.
 
 Each connection gets its own handler thread
 (``socketserver.ThreadingTCPServer``), so concurrent connections submit
@@ -37,15 +42,34 @@ import numpy as np
 
 from .batcher import QueueFull, RequestTimeout, ServiceClosed
 
-__all__ = ["GenerationServer"]
+__all__ = ["GenerationServer", "MAX_LINE_BYTES"]
+
+# Longest request line read, its newline included.  The largest request
+# the wire carries is a 1024-row ``encode`` or ``score`` of 1024 floats
+# (32 x 32 PDBbind matrices).  ``json.dumps`` writes a float64 in at most
+# 24 characters plus ", ", so that line stays under 28 MB.
+MAX_LINE_BYTES = 32 * 2**20
 
 
-def _json_int(message: dict, name: str, default: int | None = None) -> int:
-    """``message[name]`` if it is a JSON integer, else ``bad_request``."""
-    value = message[name] if default is None else message.get(name, default)
+def _required(message: dict, kind: str, name: str):
+    """``message[name]``, or ``bad_request`` naming the kind and field."""
+    try:
+        return message[name]
+    except KeyError:
+        raise ValueError(
+            f"{kind} request is missing the required field {name!r}"
+        ) from None
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else ``bad_request``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def _bad_request(message: str) -> dict:
+    return {"ok": False, "error": "bad_request", "message": message}
 
 
 def _error_name(exc: Exception) -> str:
@@ -60,22 +84,31 @@ def _error_name(exc: Exception) -> str:
     return "error"
 
 
+def _encode(response: dict) -> bytes:
+    return (json.dumps(response) + "\n").encode("utf-8")
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):  # pragma: no cover - exercised via live sockets
-        for line in self.rfile:
-            line = line.strip()
+        while True:
+            # Bounded: a line with no newline in sight stops filling the
+            # buffer one byte past the cap.
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not line:
-                continue
-            try:
-                message = json.loads(line)
-            except json.JSONDecodeError as exc:
-                response = {"ok": False, "error": "bad_request",
-                            "message": f"invalid JSON: {exc}"}
+                return
+            too_long = len(line) > MAX_LINE_BYTES
+            if too_long:
+                reply = _encode(_bad_request(
+                    f"request line longer than {MAX_LINE_BYTES} bytes; "
+                    "closing the connection"
+                ))
+            elif line.strip():
+                reply = self.server.respond(line)
             else:
-                response = self.server.dispatch(message)
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+                continue
+            self.wfile.write(reply)
             self.wfile.flush()
-            if self.server.count_request():
+            if self.server.count_request() or too_long:
                 return
 
 
@@ -100,6 +133,17 @@ class GenerationServer(socketserver.ThreadingTCPServer):
         self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
+    def respond(self, line: bytes) -> bytes:
+        """The reply to one request line: one JSON object and a newline."""
+        try:
+            message = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and invalid UTF-8;
+            # RecursionError, arrays or objects nested past the parser's
+            # depth.
+            return _encode(_bad_request(f"invalid JSON: {exc}"))
+        return _encode(self.dispatch(message))
+
     def dispatch(self, message) -> dict:
         try:
             if not isinstance(message, dict):
@@ -111,20 +155,22 @@ class GenerationServer(socketserver.ThreadingTCPServer):
                 return {"ok": True, "stats": self.service.stats()}
             if kind == "sample":
                 matrices = self.service.sample(
-                    _json_int(message, "count"),
-                    seed=_json_int(message, "seed", 0),
+                    _json_int(_required(message, kind, "count"), "count"),
+                    seed=_json_int(message.get("seed", 0), "seed"),
                     checkpoint=message.get("checkpoint"),
                 )
                 return {"ok": True, "matrices": matrices.tolist()}
             if kind == "encode":
                 latents = self.service.encode(
-                    np.asarray(message["features"], dtype=np.float64),
+                    np.asarray(_required(message, kind, "features"),
+                               dtype=np.float64),
                     checkpoint=message.get("checkpoint"),
                 )
                 return {"ok": True, "latents": latents.tolist()}
             if kind == "score":
                 scores = self.service.score(
-                    np.asarray(message["matrices"], dtype=np.float64)
+                    np.asarray(_required(message, kind, "matrices"),
+                               dtype=np.float64)
                 )
                 return {
                     "ok": True,

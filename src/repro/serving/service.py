@@ -87,23 +87,25 @@ class GenerationService:
     """Micro-batching sample/encode/score service over warm checkpoints.
 
     ``default_checkpoint`` (optional) is loaded eagerly and used whenever
-    a call does not name its own.  ``flush_window`` / ``max_batch`` /
-    ``max_queue`` / ``default_timeout`` parameterize the
-    :class:`~repro.serving.batcher.MicroBatcher`.
+    a call does not name its own.  ``max_batch`` / ``max_queue`` /
+    ``default_timeout`` parameterize the
+    :class:`~repro.serving.batcher.MicroBatcher`, whose worker runs each
+    batch as soon as it is free: requests that queue up while a batch
+    executes share the next stacked pass, and a lone request never waits.
     """
 
     def __init__(self, registry: ModelRegistry | None = None, *,
                  default_checkpoint: str | Path | None = None,
-                 flush_window: float = 0.005, max_batch: int = 64,
-                 max_queue: int = 256, default_timeout: float | None = 30.0):
+                 max_batch: int = 64, max_queue: int = 256,
+                 default_timeout: float | None = 30.0):
         self.registry = registry if registry is not None else ModelRegistry()
         self._default_entry = (
             self.registry.load(default_checkpoint)
             if default_checkpoint is not None else None
         )
         self.batcher = MicroBatcher(
-            self._execute, flush_window=flush_window, max_batch=max_batch,
-            max_queue=max_queue, default_timeout=default_timeout,
+            self._execute, max_batch=max_batch, max_queue=max_queue,
+            default_timeout=default_timeout,
         )
 
     # ------------------------------------------------------------------

@@ -23,72 +23,74 @@ class TestBatching:
         with MicroBatcher(echo_executor) as batcher:
             assert batcher.call(("k",), 7) == (("k",), 7)
 
-    def test_concurrent_submits_fuse_into_one_batch(self):
+    def test_concurrent_submits_fuse_into_one_batch(self, worker_held):
         calls = []
 
         def execute(key, payloads):
             calls.append(list(payloads))
             return payloads
 
-        # The first submit opens a batch; the flush window keeps it open
-        # long enough for the rest to join.
-        batcher = MicroBatcher(execute, flush_window=0.25)
+        # Submitted while the worker is busy, the six requests queue up
+        # and run as its next batch.
+        batcher = MicroBatcher(execute)
         try:
-            futures = [batcher.submit(("k",), i) for i in range(6)]
+            with worker_held(batcher):
+                futures = [batcher.submit(("k",), i) for i in range(6)]
             assert [f.result(5.0) for f in futures] == list(range(6))
         finally:
             batcher.close()
         assert calls == [[0, 1, 2, 3, 4, 5]]
-        assert batcher.stats.batches == 1
+        # The gate's own batch, then the fused one.
+        assert batcher.stats.batches == 2
         assert batcher.stats.batch_size_max == 6
-        assert batcher.stats.mean_batch_size == pytest.approx(6.0)
+        assert batcher.stats.mean_batch_size == pytest.approx(3.5)
 
-    def test_results_keep_submission_order_per_key(self):
-        with MicroBatcher(echo_executor, flush_window=0.05) as batcher:
-            futures = [batcher.submit(("k",), i) for i in range(10)]
+    def test_results_keep_submission_order_per_key(self, worker_held):
+        with MicroBatcher(echo_executor) as batcher:
+            with worker_held(batcher):
+                futures = [batcher.submit(("k",), i) for i in range(10)]
             assert [f.result(5.0)[1] for f in futures] == list(range(10))
+            assert batcher.stats.batch_size_max == 10
 
-    def test_different_keys_never_share_an_execute_call(self):
+    def test_different_keys_never_share_an_execute_call(self, worker_held):
         seen = []
 
         def execute(key, payloads):
             seen.append((key, list(payloads)))
             return payloads
 
-        batcher = MicroBatcher(execute, flush_window=0.25)
+        batcher = MicroBatcher(execute)
         try:
-            futures = [batcher.submit(("a",), 1), batcher.submit(("b",), 2),
-                       batcher.submit(("a",), 3)]
+            with worker_held(batcher):
+                futures = [batcher.submit(("a",), 1),
+                           batcher.submit(("b",), 2),
+                           batcher.submit(("a",), 3)]
             for future in futures:
                 future.result(5.0)
         finally:
             batcher.close()
-        assert dict(seen) == {("a",): [1, 3], ("b",): [2]}
-        # One flush, split into two per-key execute calls.
-        assert batcher.stats.batches == 1
-        assert batcher.stats.groups == 2
+        assert seen == [(("a",), [1, 3]), (("b",), [2])]
+        # After the gate's batch, one flush split into two per-key
+        # execute calls.
+        assert batcher.stats.batches == 2
+        assert batcher.stats.groups == 3
 
-    def test_max_batch_caps_a_flush(self):
+    def test_max_batch_caps_a_flush(self, worker_held):
         sizes = []
 
         def execute(key, payloads):
             sizes.append(len(payloads))
             return payloads
 
-        batcher = MicroBatcher(execute, flush_window=0.1, max_batch=3)
+        batcher = MicroBatcher(execute, max_batch=3)
         try:
-            futures = [batcher.submit(("k",), i) for i in range(8)]
-            for future in futures:
-                future.result(5.0)
+            with worker_held(batcher):
+                futures = [batcher.submit(("k",), i) for i in range(8)]
+            assert [f.result(5.0) for f in futures] == list(range(8))
         finally:
             batcher.close()
-        assert all(size <= 3 for size in sizes)
-        assert sum(sizes) == 8
-        assert batcher.stats.batch_size_max <= 3
-
-    def test_zero_flush_window_still_works(self):
-        with MicroBatcher(echo_executor, flush_window=0.0) as batcher:
-            assert batcher.call(("k",), "x") == (("k",), "x")
+        assert sizes == [3, 3, 2]
+        assert batcher.stats.batch_size_max == 3
 
 
 class TestBackpressure:
@@ -99,8 +101,7 @@ class TestBackpressure:
             release.wait(5.0)
             return payloads
 
-        batcher = MicroBatcher(gated, flush_window=0.0, max_queue=2,
-                               max_batch=1)
+        batcher = MicroBatcher(gated, max_queue=2, max_batch=1)
         try:
             # The worker grabs the first request and blocks inside the
             # executor; further submits fill the bounded queue.
@@ -114,25 +115,26 @@ class TestBackpressure:
             batcher.close()
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="flush_window"):
-            MicroBatcher(echo_executor, flush_window=-0.1)
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(echo_executor, max_batch=0)
         with pytest.raises(ValueError, match="max_queue"):
             MicroBatcher(echo_executor, max_queue=0)
 
     @pytest.mark.parametrize("kwargs, match", [
-        ({"flush_window": float("inf")}, "flush_window"),
-        ({"flush_window": float("nan")}, "flush_window"),
         ({"default_timeout": float("inf")}, "default_timeout"),
         ({"default_timeout": float("nan")}, "default_timeout"),
         ({"default_timeout": 0.0}, "default_timeout"),
     ])
     def test_constructor_rejects_unusable_durations(self, kwargs, match):
-        # An infinite window kills the worker thread on the first request;
         # nan/inf timeouts fail or overflow every request.
         with pytest.raises(ValueError, match=match):
             MicroBatcher(echo_executor, **kwargs)
+
+    def test_flush_window_is_gone(self):
+        # The worker never waits for co-riders, so there is no window to
+        # set.
+        with pytest.raises(TypeError, match="flush_window"):
+            MicroBatcher(echo_executor, flush_window=0.005)
 
 
 class TestTimeouts:
@@ -143,7 +145,7 @@ class TestTimeouts:
             release.wait(5.0)
             return payloads
 
-        batcher = MicroBatcher(gated, flush_window=0.0)
+        batcher = MicroBatcher(gated)
         try:
             started = time.monotonic()
             with pytest.raises(RequestTimeout, match="did not complete"):
@@ -162,7 +164,7 @@ class TestTimeouts:
             executed.extend(payloads)
             return payloads
 
-        batcher = MicroBatcher(gated, flush_window=0.0)
+        batcher = MicroBatcher(gated)
         try:
             blocker = batcher.submit(("k",), "blocker", timeout=None)
             time.sleep(0.05)
@@ -179,35 +181,39 @@ class TestTimeouts:
 
 
 class TestFailurePropagation:
-    def test_executor_exception_reaches_every_caller(self):
+    def test_executor_exception_reaches_every_caller(self, worker_held):
         def boom(key, payloads):
             raise RuntimeError("kernel on fire")
 
-        with MicroBatcher(boom, flush_window=0.05) as batcher:
-            futures = [batcher.submit(("k",), i) for i in range(3)]
+        with MicroBatcher(boom) as batcher:
+            with worker_held(batcher):
+                futures = [batcher.submit(("k",), i) for i in range(3)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="kernel on fire"):
                     future.result(5.0)
+            assert batcher.stats.batch_size_max == 3
 
-    def test_wrong_result_count_is_a_serving_error(self):
+    def test_wrong_result_count_is_a_serving_error(self, worker_held):
         def short(key, payloads):
             return payloads[:1]
 
-        with MicroBatcher(short, flush_window=0.25) as batcher:
-            futures = [batcher.submit(("k",), i) for i in range(2)]
+        with MicroBatcher(short) as batcher:
+            with worker_held(batcher):
+                futures = [batcher.submit(("k",), i) for i in range(2)]
             for future in futures:
                 with pytest.raises(ServingError, match="1 results for 2"):
                     future.result(5.0)
 
-    def test_failure_in_one_group_spares_the_other(self):
+    def test_failure_in_one_group_spares_the_other(self, worker_held):
         def picky(key, payloads):
             if key == ("bad",):
                 raise ValueError("no")
             return payloads
 
-        with MicroBatcher(picky, flush_window=0.25) as batcher:
-            bad = batcher.submit(("bad",), 1)
-            good = batcher.submit(("good",), 2)
+        with MicroBatcher(picky) as batcher:
+            with worker_held(batcher):
+                bad = batcher.submit(("bad",), 1)
+                good = batcher.submit(("good",), 2)
             assert good.result(5.0) == 2
             with pytest.raises(ValueError):
                 bad.result(5.0)

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import ClassicalAE, ClassicalVAE
 from repro.nn import save_module
@@ -15,7 +17,12 @@ from repro.serving import (
     ServingError,
     per_molecule_scores,
 )
+from repro.serving import server as server_module
 from repro.serving.service import MAX_SAMPLE_COUNT
+
+# The ``error`` names the server module documents for ``ok: false``.
+ERROR_NAMES = {"queue_full", "request_timeout", "service_closed",
+               "bad_request", "error"}
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +38,7 @@ def vae_checkpoint(tmp_path_factory):
 
 @pytest.fixture()
 def server(vae_checkpoint):
-    service = GenerationService(default_checkpoint=vae_checkpoint,
-                                flush_window=0.002)
+    service = GenerationService(default_checkpoint=vae_checkpoint)
     srv = GenerationServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=srv.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -46,9 +52,27 @@ def server(vae_checkpoint):
         thread.join(timeout=5.0)
 
 
+@pytest.fixture(scope="module")
+def unserved(vae_checkpoint):
+    """A server that never accepts: its ``respond`` runs without sockets."""
+    service = GenerationService(default_checkpoint=vae_checkpoint)
+    srv = GenerationServer(("127.0.0.1", 0), service)
+    try:
+        yield srv
+    finally:
+        srv.server_close()
+        service.close()
+
+
 def client_for(server):
     host, port = server.server_address[:2]
     return NetworkClient(host, port, timeout=30.0)
+
+
+def raw_reply(client, line: bytes) -> dict:
+    """Send raw bytes on the client's connection; parse one reply line."""
+    client._sock.sendall(line)
+    return json.loads(client._file.readline())
 
 
 class TestWireProtocol:
@@ -94,7 +118,7 @@ class TestWireProtocol:
             second = client.sample(2, seed=1)
         assert (first == second).all()
 
-    def test_concurrent_connections_micro_batch(self, server):
+    def test_concurrent_connections_micro_batch(self, server, worker_held):
         results = {}
 
         def one(seed):
@@ -102,10 +126,15 @@ class TestWireProtocol:
                 results[seed] = client.sample(3, seed=seed)
 
         threads = [threading.Thread(target=one, args=(s,)) for s in range(5)]
+        with worker_held(server.service.batcher) as wait_queued:
+            for thread in threads:
+                thread.start()
+            wait_queued(5)
         for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        # The five connections' requests ran as one stacked pass.
+        assert server.service.stats()["batcher"]["batch_size_max"] == 5
         for seed in range(5):
             assert (results[seed] == server.service.sample(3, seed=seed)).all()
 
@@ -143,6 +172,56 @@ class TestWireErrors:
                 assert "JSON object" in response["message"]
             # One reply per line: the next reply on the same connection
             # answers the ping.
+            assert client.ping()
+
+    @pytest.mark.parametrize("line", [b"\x80abc\n", b"[" * 5000 + b"\n"],
+                             ids=["invalid_utf8", "nested_5000_deep"])
+    def test_undecodable_line_is_bad_request_not_fatal(self, server, line):
+        # Each used to kill the handler thread (UnicodeDecodeError,
+        # RecursionError): the client saw EOF, and a ping got no answer.
+        with client_for(server) as client:
+            response = raw_reply(client, line)
+            assert response["ok"] is False
+            assert response["error"] == "bad_request"
+            assert response["message"].startswith("invalid JSON")
+            assert client.ping()  # exactly one reply; connection survives
+
+    def test_line_over_the_cap_is_refused_then_closed(self, server,
+                                                      monkeypatch):
+        # Lines used to be read until a newline, however long: a client
+        # streaming bytes with no newline grew the server without bound.
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 256)
+        head = b'{"kind": "ping", "pad": "'
+        with client_for(server) as client:
+            client._sock.settimeout(10.0)
+            at_cap = head + b"x" * (256 - len(head) - 3) + b'"}\n'
+            assert len(at_cap) == 256
+            assert raw_reply(client, at_cap) == {"ok": True}
+            # No newline follows: the server must answer without one.
+            response = raw_reply(client, head + b"x" * 4096)
+            assert response == {
+                "ok": False, "error": "bad_request",
+                "message": "request line longer than 256 bytes; closing "
+                           "the connection",
+            }
+            assert client._file.readline() == ""  # then EOF
+
+    @pytest.mark.parametrize("message, field", [
+        ({"kind": "sample"}, "count"),
+        ({"kind": "sample", "seed": 3}, "count"),
+        ({"kind": "encode"}, "features"),
+        ({"kind": "score"}, "matrices"),
+    ], ids=["sample", "sample_with_seed", "encode", "score"])
+    def test_missing_field_names_kind_and_field(self, server, message,
+                                                field):
+        # Used to answer with the bare KeyError repr, e.g. "'count'".
+        with client_for(server) as client:
+            response = raw_reply(client, json.dumps(message).encode() + b"\n")
+            assert response == {
+                "ok": False, "error": "bad_request",
+                "message": f"{message['kind']} request is missing the "
+                           f"required field {field!r}",
+            }
             assert client.ping()
 
     @pytest.mark.parametrize("message", [
@@ -237,10 +316,65 @@ class TestWireErrors:
             thread.join(timeout=5.0)
 
 
+def assert_one_reply(reply: bytes) -> None:
+    """One JSON object on one line, with a boolean ``ok`` and, on failure,
+    one of the documented error names."""
+    assert reply.endswith(b"\n") and reply.count(b"\n") == 1
+    response = json.loads(reply)
+    assert isinstance(response, dict)
+    assert isinstance(response["ok"], bool)
+    if not response["ok"]:
+        assert response["error"] in ERROR_NAMES
+        assert isinstance(response["message"], str)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=30,
+)
+# Objects shaped like requests, so the property reaches every kind's
+# validation rather than stopping at "unknown kind".
+REQUESTS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["ping", "stats", "sample", "encode", "score"])
+     | JSON_VALUES},
+    optional={"count": st.integers(-3, MAX_SAMPLE_COUNT + 3) | JSON_VALUES,
+              "seed": JSON_VALUES, "features": JSON_VALUES,
+              "matrices": JSON_VALUES},
+)
+
+
+def _nested(depth: int, opener: str) -> str:
+    if opener == "[":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+class TestEveryLineGetsOneReply:
+    """Property: every non-blank line gets exactly one well-formed reply."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.binary(min_size=1).filter(
+        lambda b: b"\n" not in b and b.strip()))
+    def test_arbitrary_bytes(self, unserved, line):
+        assert_one_reply(unserved.respond(line))
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=JSON_VALUES | REQUESTS)
+    def test_arbitrary_json_values(self, unserved, value):
+        assert_one_reply(unserved.respond(json.dumps(value).encode()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(depth=st.integers(1, 6000), opener=st.sampled_from("[{"))
+    def test_arbitrarily_deep_nesting(self, unserved, depth, opener):
+        line = _nested(depth, opener).encode()
+        assert_one_reply(unserved.respond(line))
+
+
 class TestLifetime:
     def test_max_requests_shuts_the_server_down(self, vae_checkpoint):
-        service = GenerationService(default_checkpoint=vae_checkpoint,
-                                    flush_window=0.002)
+        service = GenerationService(default_checkpoint=vae_checkpoint)
         srv = GenerationServer(("127.0.0.1", 0), service, max_requests=3)
         thread = threading.Thread(target=srv.serve_forever,
                                   kwargs={"poll_interval": 0.05}, daemon=True)

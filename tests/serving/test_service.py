@@ -9,8 +9,6 @@ cannot vary with row count), and (c) scoring is per-row math under the
 padding-exactness contract of :mod:`repro.chem.batch`.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -49,27 +47,6 @@ def sq_vae_checkpoint(tmp_path_factory):
     )
 
 
-def run_concurrently(jobs):
-    """Run one callable per thread; return results in job order."""
-    results = [None] * len(jobs)
-    errors = []
-
-    def runner(index, job):
-        try:
-            results[index] = job()
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=runner, args=(i, job))
-               for i, job in enumerate(jobs)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors, errors
-    return results
-
-
 def sequential_sample(model, count, seed):
     """Per-request execution: exactly what one lone request computes."""
     latents = prior_latents(model, count, np.random.default_rng(seed))
@@ -77,22 +54,25 @@ def sequential_sample(model, count, seed):
     return decode_latents(model, latents).reshape(count, size, size)
 
 
+def resolved(futures):
+    return [future.result(10.0) for future in futures]
+
+
 class TestBatchedEqualsSequential:
-    """The acceptance contract: plain ``==``, no tolerance."""
+    """The acceptance contract: plain ``==``, no tolerance.
 
-    # A long flush window forces every concurrent request into ONE batch,
-    # making this the strongest version of the claim.
-    FLUSH = 0.25
+    Every request is submitted while the worker is held, so all of them
+    run as ONE batch: the strongest version of the claim.
+    """
 
-    def test_sample_classical(self, vae_checkpoint):
+    def test_sample_classical(self, vae_checkpoint, worker_held):
         counts = [3, 8, 5, 7, 4, 6]
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=self.FLUSH) as service:
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
             model = service.registry.load(vae_checkpoint).model
-            batched = run_concurrently([
-                lambda c=c, s=100 + i: service.sample(c, seed=s)
-                for i, c in enumerate(counts)
-            ])
+            with worker_held(service.batcher):
+                futures = [service.sample_async(c, seed=100 + i)
+                           for i, c in enumerate(counts)]
+            batched = resolved(futures)
             stats = service.stats()["batcher"]
         assert stats["batch_size_max"] > 1  # genuinely micro-batched
         for i, c in enumerate(counts):
@@ -100,15 +80,14 @@ class TestBatchedEqualsSequential:
             assert batched[i].shape == (c, 8, 8)
             assert (batched[i] == expected).all()
 
-    def test_sample_quantum(self, sq_vae_checkpoint):
+    def test_sample_quantum(self, sq_vae_checkpoint, worker_held):
         counts = [3, 5, 2, 6]
-        with GenerationService(default_checkpoint=sq_vae_checkpoint,
-                               flush_window=self.FLUSH) as service:
+        with GenerationService(default_checkpoint=sq_vae_checkpoint) as service:
             model = service.registry.load(sq_vae_checkpoint).model
-            batched = run_concurrently([
-                lambda c=c, s=40 + i: service.sample(c, seed=s)
-                for i, c in enumerate(counts)
-            ])
+            with worker_held(service.batcher):
+                futures = [service.sample_async(c, seed=40 + i)
+                           for i, c in enumerate(counts)]
+            batched = resolved(futures)
             stats = service.stats()["batcher"]
         assert stats["batch_size_max"] > 1
         for i, c in enumerate(counts):
@@ -116,21 +95,19 @@ class TestBatchedEqualsSequential:
 
     def test_sample_matches_model_sample_api(self, vae_checkpoint):
         # The service's per-request semantics ARE model.sample's.
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=0.0) as service:
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
             model = service.registry.load(vae_checkpoint).model
             served = service.sample(5, seed=9)
         direct = model.sample(5, np.random.default_rng(9))
         assert (served == np.asarray(direct).reshape(5, 8, 8)).all()
 
-    def test_encode(self, vae_checkpoint):
+    def test_encode(self, vae_checkpoint, worker_held):
         rng = np.random.default_rng(1)
         chunks = [rng.normal(size=(n, 64)) for n in (2, 5, 3, 4)]
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=self.FLUSH) as service:
-            batched = run_concurrently([
-                lambda x=x: service.encode(x) for x in chunks
-            ])
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
+            with worker_held(service.batcher):
+                futures = [service.encode_async(x) for x in chunks]
+            batched = resolved(futures)
             sequential = [service.encode(x) for x in chunks]
             stats = service.stats()["batcher"]
         assert stats["batch_size_max"] > 1
@@ -138,14 +115,13 @@ class TestBatchedEqualsSequential:
             assert got.shape == expected.shape
             assert (got == expected).all()
 
-    def test_score(self, vae_checkpoint):
+    def test_score(self, vae_checkpoint, worker_held):
         rng = np.random.default_rng(2)
         chunks = [rng.uniform(size=(n, 8, 8)) for n in (3, 6, 2)]
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=self.FLUSH) as service:
-            batched = run_concurrently([
-                lambda m=m: service.score(m) for m in chunks
-            ])
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
+            with worker_held(service.batcher):
+                futures = [service.score_async(m) for m in chunks]
+            batched = resolved(futures)
             stats = service.stats()["batcher"]
         assert stats["batch_size_max"] > 1
         for got, matrices in zip(batched, chunks):
@@ -153,23 +129,26 @@ class TestBatchedEqualsSequential:
             for name in ("usable", "qed", "logp", "sa"):
                 assert (got[name] == expected[name]).all()
 
-    def test_mixed_kinds_in_one_window_stay_separated(self, vae_checkpoint):
+    def test_mixed_kinds_in_one_batch_stay_separated(self, vae_checkpoint,
+                                                     worker_held):
         rng = np.random.default_rng(3)
         features = rng.normal(size=(4, 64))
         matrices = rng.uniform(size=(3, 8, 8))
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=self.FLUSH) as service:
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
             model = service.registry.load(vae_checkpoint).model
-            sample, latents, scores = run_concurrently([
-                lambda: service.sample(4, seed=11),
-                lambda: service.encode(features),
-                lambda: service.score(matrices),
-            ])
+            with worker_held(service.batcher):
+                futures = [service.sample_async(4, seed=11),
+                           service.encode_async(features),
+                           service.score_async(matrices)]
+            sample, latents, scores = resolved(futures)
             stats = service.stats()["batcher"]
-        assert stats["groups"] >= 3  # kinds never share an executor call
+        # The gate's batch, then one batch of three kinds run as three
+        # executor calls: kinds never share one.
+        assert stats["batches"] == 2
+        assert stats["batch_size_max"] == 3
+        assert stats["groups"] == 4
         assert (sample == sequential_sample(model, 4, 11)).all()
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=0.0) as solo:
+        with GenerationService(default_checkpoint=vae_checkpoint) as solo:
             assert (latents == solo.encode(features)).all()
         expected = per_molecule_scores(matrices)
         for name in expected:
@@ -237,6 +216,11 @@ class TestValidation:
                 service.score(matrices)
             assert service.stats()["batcher"]["requests"] == 0
 
+    def test_flush_window_is_gone(self, vae_checkpoint):
+        with pytest.raises(TypeError, match="flush_window"):
+            GenerationService(default_checkpoint=vae_checkpoint,
+                              flush_window=0.005)
+
     def test_no_default_and_no_checkpoint_is_an_error(self):
         with GenerationService() as service:
             with pytest.raises(ServingError, match="no checkpoint named"):
@@ -244,8 +228,7 @@ class TestValidation:
 
     def test_per_call_checkpoint_overrides_default(self, vae_checkpoint,
                                                    sq_vae_checkpoint):
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=0.0) as service:
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
             out = service.sample(2, seed=1, checkpoint=sq_vae_checkpoint)
             model = service.registry.load(sq_vae_checkpoint).model
             assert (out == sequential_sample(model, 2, 1)).all()
@@ -264,8 +247,7 @@ class TestServiceLifecycle:
 
     def test_async_variants_return_futures(self, vae_checkpoint):
         rng = np.random.default_rng(4)
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=0.05) as service:
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
             sample = service.sample_async(2, seed=5)
             encode = service.encode_async(rng.normal(size=(2, 64)))
             score = service.score_async(rng.uniform(size=(2, 8, 8)))
@@ -287,8 +269,7 @@ class TestServiceLifecycle:
 
 class TestClient:
     def test_in_process_client_round_trip(self, vae_checkpoint):
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=0.0) as service:
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
             client = Client(service)
             model = service.registry.load(vae_checkpoint).model
             assert (client.sample(3, seed=2)
@@ -300,8 +281,7 @@ class TestClient:
 
     def test_client_pins_a_checkpoint(self, vae_checkpoint,
                                       sq_vae_checkpoint):
-        with GenerationService(default_checkpoint=vae_checkpoint,
-                               flush_window=0.0) as service:
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
             client = Client(service, checkpoint=sq_vae_checkpoint)
             model = service.registry.load(sq_vae_checkpoint).model
             assert (client.sample(2, seed=3)

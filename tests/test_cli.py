@@ -204,8 +204,7 @@ class TestServe:
         thread = threading.Thread(
             target=lambda: codes.append(main([
                 "serve", "--checkpoint", str(ckpt), "--port", "0",
-                "--flush-ms", "2", "--max-requests", "4",
-                "--ready-file", str(ready),
+                "--max-requests", "4", "--ready-file", str(ready),
             ])),
             daemon=True,
         )
@@ -253,12 +252,6 @@ class TestFlagValidation:
         (["draw", "--model", "sq-ae", "--patches", "0"], "--patches"),
         (["serve", "--checkpoint", "x.npz", "--max-batch", "0"],
          "--max-batch"),
-        (["serve", "--checkpoint", "x.npz", "--flush-ms", "-1"],
-         "--flush-ms"),
-        (["serve", "--checkpoint", "x.npz", "--flush-ms", "nan"],
-         "--flush-ms"),
-        (["serve", "--checkpoint", "x.npz", "--flush-ms", "inf"],
-         "--flush-ms"),
         (["serve", "--checkpoint", "x.npz", "--timeout", "nan"],
          "--timeout"),
         (["serve", "--checkpoint", "x.npz", "--timeout", "inf"],
@@ -321,6 +314,13 @@ class TestFlagValidation:
         assert "unrecognized arguments: --backend numpy" in \
             capsys.readouterr().err
 
+    def test_flush_window_flag_is_gone(self, capsys):
+        # serve runs each batch as soon as its worker is free.
+        with pytest.raises(SystemExit):
+            main(["serve", "--checkpoint", "x.npz", "--flush-ms", "5"])
+        assert "unrecognized arguments: --flush-ms 5" in \
+            capsys.readouterr().err
+
 
 class TestNonNegativeInt:
     """The ``--seed`` / ``--layers`` / ``--max-requests`` argparse type."""
@@ -342,7 +342,7 @@ class TestNonNegativeInt:
 
 
 class TestPositiveFloat:
-    """The ``--flush-ms`` / ``--timeout`` argparse type."""
+    """The ``serve --timeout`` argparse type."""
 
     @pytest.mark.parametrize("text, value", [
         ("0.5", 0.5),
