@@ -8,10 +8,7 @@ Public surface::
 
 from . import autodiff
 from . import functional
-from . import graph
 from . import init
-from .autodiff import enable_grad, grad, hvp
-from .graph import GraphPlan, clear_plan_cache, plan_cache_stats
 from .modules import (
     Identity,
     Lambda,
@@ -42,15 +39,8 @@ from .tensor import Tensor, is_grad_enabled, no_grad
 __all__ = [
     "Tensor",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "autodiff",
-    "grad",
-    "hvp",
-    "graph",
-    "GraphPlan",
-    "plan_cache_stats",
-    "clear_plan_cache",
     "Module",
     "Parameter",
     "Linear",

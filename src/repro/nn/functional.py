@@ -1,9 +1,8 @@
 """Functional operations and losses on :class:`repro.nn.tensor.Tensor`.
 
 Everything here is composed from registered tape primitives, so each
-function is differentiable to arbitrary order: losses can sit at the root
-of a ``create_graph`` walk (:func:`repro.nn.autodiff.grad` /
-:func:`repro.nn.autodiff.hvp`) without any special casing.
+function needs no backward of its own: ``Tensor.backward`` differentiates
+it through the primitives' VJPs.
 """
 
 from __future__ import annotations

@@ -39,24 +39,11 @@ class Optimizer:
             if not all(isinstance(p, Tensor) for p in group["params"]):
                 raise TypeError("optimizer parameters must be Tensors")
 
-    def zero_grad(self, set_to_none: bool = True) -> None:
-        """Reset every parameter gradient (torch-parity signature).
-
-        ``set_to_none=True`` (the default) drops the buffers entirely —
-        the next backward allocates or adopts fresh ones, which pairs
-        with the compiled tape's buffer reuse and skips a redundant
-        fill.  ``set_to_none=False`` keeps each existing buffer and
-        zeroes it in place, for callers that hold references to
-        ``param.grad`` across steps.
-        """
-        for group in self.param_groups:
-            for param in group["params"]:
-                if set_to_none:
-                    param.zero_grad()
-                else:
-                    grad = param.grad
-                    if grad is not None:
-                        grad[...] = 0.0
+    def zero_grad(self) -> None:
+        """Drop every parameter gradient; the next backward allocates fresh
+        buffers."""
+        for param in self.parameters():
+            param.zero_grad()
 
     def parameters(self) -> Iterable[Tensor]:
         for group in self.param_groups:

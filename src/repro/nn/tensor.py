@@ -19,27 +19,14 @@ Design notes
   one generic topological walk in :mod:`repro.nn.autodiff` drives every
   backward, classical or quantum.  Quantum layers join the same tape by
   recording their engine adjoints as custom VJPs (``tape_record``).
-* **Dual-mode VJPs.**  Each VJP body is written to accept either raw
-  numpy arrays (the fast first-order walk — no wrapper overhead on the
-  hot path, numerically identical to the old closure design) or Tensors
-  (the ``create_graph`` walk of :func:`repro.nn.autodiff.grad`, where
-  every VJP is re-recorded through these same primitives).  That is what
-  makes grad-of-grad — :func:`repro.nn.autodiff.hvp` — fall out of the
-  design instead of needing a second implementation.
-* **Compiled backward plans.**  A recorded tape is pure structure —
-  primitive sequence, shapes, dtypes, wiring — so :mod:`repro.nn.graph`
-  lowers it once into a reusable backward program (flattened VJP
-  dispatch, fused single-consumer elementwise chains, preallocated
-  cotangent buffers) cached on a structural signature, exactly like the
-  quantum engine caches circuit plans.  ``Tensor.backward`` always runs
-  through that cache; training loops therefore lower on step 1 and run
-  the cached program from step 2 on.  The compiled program is
-  bit-identical to the interpreted reference walk
-  (:func:`repro.nn.autodiff.naive_backward_pass`), which nothing in the
-  library selects.
+* **One backward walk.**  ``Tensor.backward`` walks the recorded tape in
+  reverse and applies each node's VJPs to raw numpy arrays — no compile
+  step, no plan cache and no wrapper overhead on the hot path.  VJP math
+  is kept expression-for-expression identical to the original per-op
+  closures, so gradients are bit-identical to that design.  Gradients are
+  first order only: nothing records the backward computation itself.
 * Gradients follow numpy broadcasting: every op's VJP sums the upstream
-  gradient back down to the operand's shape via :func:`_unbroadcast` (or
-  its dual-mode twin ``_unb_any``).
+  gradient back down to the operand's shape via :func:`_unbroadcast`.
 * The graph is dynamic (define-by-run) and torn down after ``backward``
   unless ``retain_graph=True`` is passed.  Intermediate cotangents are
   released as soon as their node is consumed — after ``backward`` only
@@ -68,11 +55,8 @@ from .autodiff import (
     backward_pass,
     defvjp,
     defvjp_all,
-    enable_grad,
     is_grad_enabled,
-    is_tensor,
     no_grad,
-    register_tensor_type,
 )
 from .autodiff import _GRAD_ENABLED as _GRAD_CELL
 from .precision import default_precision, grad_dtype
@@ -80,7 +64,6 @@ from .precision import default_precision, grad_dtype
 __all__ = [
     "Tensor",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "tape_record",
 ]
@@ -126,65 +109,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Dual-mode VJP helpers: each works on a raw ndarray (fast walk) or a
-# Tensor (create_graph walk, where the result must itself be recorded).
-# ----------------------------------------------------------------------
-def _unb_any(grad, shape: tuple):
-    """Dual-mode :func:`_unbroadcast`."""
-    if grad.shape == shape:  # no broadcasting happened — the common case
-        return grad
-    if not is_tensor(grad):
-        return _unbroadcast(grad, shape)
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _reshape_any(grad, shape: tuple):
-    return grad.reshape(shape)
-
-
-def _broadcast_any(grad, shape: tuple):
-    """Dual-mode ``np.broadcast_to`` (recorded so it stays differentiable)."""
-    if not is_tensor(grad):
-        return np.broadcast_to(grad, shape)
-    if grad.shape == shape:
-        return grad
-    return _record(
-        _broadcast_p,
-        np.broadcast_to(grad.data, shape),
-        (grad,),
-        {"shape": grad.shape},
-    )
-
-
-def _log_any(x):
-    return x.log() if is_tensor(x) else np.log(x)
-
-
-def _swap_last(x):
-    """Dual-mode ``np.swapaxes(x, -1, -2)``."""
-    if not is_tensor(x):
-        return np.swapaxes(x, -1, -2)
-    perm = list(range(x.ndim))
-    perm[-1], perm[-2] = perm[-2], perm[-1]
-    return x.transpose(tuple(perm))
-
-
-def _outer_any(u, v):
-    """Dual-mode ``np.outer`` for 1-D operands."""
-    if not (is_tensor(u) or is_tensor(v)):
-        return np.outer(u, v)
-    ur = u.reshape(-1, 1) if is_tensor(u) else np.reshape(u, (-1, 1))
-    vr = v.reshape(1, -1) if is_tensor(v) else np.reshape(v, (1, -1))
-    return ur * vr
-
-
-# ----------------------------------------------------------------------
 # Recording
 # ----------------------------------------------------------------------
 _EMPTY: dict = {}
@@ -215,7 +139,7 @@ def _record(prim: Primitive, data, args: tuple, params: dict = _EMPTY) -> "Tenso
             a0 = args[0]
             if a0.requires_grad:
                 out.requires_grad = True
-                out._node = Node(prim, args, (a0.data,), params, ((0, a0),))
+                out._node = Node(prim, (a0.data,), params, ((0, a0),))
         elif n == 2:
             a0, a1 = args
             r0 = a0.requires_grad
@@ -223,7 +147,7 @@ def _record(prim: Primitive, data, args: tuple, params: dict = _EMPTY) -> "Tenso
             if r0 | r1:
                 out.requires_grad = True
                 out._node = Node(
-                    prim, args, (a0.data, a1.data), params,
+                    prim, (a0.data, a1.data), params,
                     ((0, a0), (1, a1)) if r0 & r1
                     else (((0, a0),) if r0 else ((1, a1),)),
                 )
@@ -232,7 +156,7 @@ def _record(prim: Primitive, data, args: tuple, params: dict = _EMPTY) -> "Tenso
             if parents:
                 out.requires_grad = True
                 out._node = Node(
-                    prim, args, tuple([a.data for a in args]), params,
+                    prim, tuple([a.data for a in args]), params,
                     tuple(parents),
                 )
     return out
@@ -251,14 +175,13 @@ def tape_record(prim: Primitive, data, args: tuple, params: dict | None = None):
 
 # ----------------------------------------------------------------------
 # Primitive definitions.  VJP math is kept expression-for-expression
-# identical to the original per-op closures so first-order gradients are
-# bit-identical; the same bodies run on Tensors in the create_graph walk.
+# identical to the original per-op closures so gradients are bit-identical.
 # ----------------------------------------------------------------------
 _add_p = Primitive("add")
 defvjp(
     _add_p,
-    lambda g, ans, operands, params: _unb_any(g, operands[0].shape),
-    lambda g, ans, operands, params: _unb_any(g, operands[1].shape),
+    lambda g, ans, operands, params: _unbroadcast(g, operands[0].shape),
+    lambda g, ans, operands, params: _unbroadcast(g, operands[1].shape),
 )
 
 _neg_p = Primitive("neg")
@@ -267,22 +190,22 @@ defvjp(_neg_p, lambda g, ans, operands, params: -g)
 _sub_p = Primitive("sub")
 defvjp(
     _sub_p,
-    lambda g, ans, operands, params: _unb_any(g, operands[0].shape),
-    lambda g, ans, operands, params: _unb_any(-g, operands[1].shape),
+    lambda g, ans, operands, params: _unbroadcast(g, operands[0].shape),
+    lambda g, ans, operands, params: _unbroadcast(-g, operands[1].shape),
 )
 
 _mul_p = Primitive("mul")
 defvjp(
     _mul_p,
-    lambda g, ans, operands, params: _unb_any(g * operands[1], operands[0].shape),
-    lambda g, ans, operands, params: _unb_any(g * operands[0], operands[1].shape),
+    lambda g, ans, operands, params: _unbroadcast(g * operands[1], operands[0].shape),
+    lambda g, ans, operands, params: _unbroadcast(g * operands[0], operands[1].shape),
 )
 
 _div_p = Primitive("div")
 defvjp(
     _div_p,
-    lambda g, ans, operands, params: _unb_any(g / operands[1], operands[0].shape),
-    lambda g, ans, operands, params: _unb_any(
+    lambda g, ans, operands, params: _unbroadcast(g / operands[1], operands[0].shape),
+    lambda g, ans, operands, params: _unbroadcast(
         -g * operands[0] / operands[1] ** 2, operands[1].shape
     ),
 )
@@ -300,11 +223,11 @@ defvjp(
 _pow_p = Primitive("pow")
 defvjp(
     _pow_p,
-    lambda g, ans, operands, params: _unb_any(
+    lambda g, ans, operands, params: _unbroadcast(
         g * operands[1] * operands[0] ** (operands[1] - 1.0), operands[0].shape
     ),
-    lambda g, ans, operands, params: _unb_any(
-        g * ans * _log_any(operands[0]), operands[1].shape
+    lambda g, ans, operands, params: _unbroadcast(
+        g * ans * np.log(operands[0]), operands[1].shape
     ),
 )
 
@@ -312,23 +235,23 @@ defvjp(
 def _matmul_vjp_a(g, ans, operands, params):
     a, b = operands
     if b.ndim == 1:
-        ga = _outer_any(g, b) if a.ndim == 2 else g * b
+        ga = np.outer(g, b) if a.ndim == 2 else g * b
     else:
-        ga = g @ _swap_last(b)
+        ga = g @ np.swapaxes(b, -1, -2)
         if a.ndim != 1:
-            ga = _unb_any(ga, a.shape)
-    return _reshape_any(ga, a.shape)
+            ga = _unbroadcast(ga, a.shape)
+    return ga.reshape(a.shape)
 
 
 def _matmul_vjp_b(g, ans, operands, params):
     a, b = operands
     if a.ndim == 1:
-        gb = g * a if b.ndim == 1 else _outer_any(a, g)
+        gb = g * a if b.ndim == 1 else np.outer(a, g)
     else:
-        gb = _swap_last(a) @ g
+        gb = np.swapaxes(a, -1, -2) @ g
         if b.ndim != 1:
-            gb = _unb_any(gb, b.shape)
-    return _reshape_any(gb, b.shape)
+            gb = _unbroadcast(gb, b.shape)
+    return gb.reshape(b.shape)
 
 
 _matmul_p = Primitive("matmul")
@@ -366,12 +289,12 @@ def _reduced_grad_shape(g, params):
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         axes = tuple(a % len(shape) for a in axes)
         gshape = tuple(1 if i in axes else dim for i, dim in enumerate(shape))
-        g = _reshape_any(g, gshape)
+        g = g.reshape(gshape)
     return g
 
 
 def _sum_vjp(g, ans, operands, params):
-    return _broadcast_any(_reduced_grad_shape(g, params), params["shape"])
+    return np.broadcast_to(_reduced_grad_shape(g, params), params["shape"])
 
 
 _sum_p = Primitive("sum")
@@ -381,7 +304,7 @@ defvjp(_sum_p, _sum_vjp)
 def _max_vjp(g, ans, operands, params):
     g = _reduced_grad_shape(g, params)
     return (
-        _broadcast_any(g, params["shape"]) * params["mask"] / params["counts"]
+        np.broadcast_to(g, params["shape"]) * params["mask"] / params["counts"]
     )
 
 
@@ -391,11 +314,6 @@ defvjp(_max_p, _max_vjp)
 _reshape_prim = Primitive("reshape")
 defvjp(
     _reshape_prim, lambda g, ans, operands, params: g.reshape(params["shape"])
-)
-
-_broadcast_p = Primitive("broadcast_to")
-defvjp(
-    _broadcast_p, lambda g, ans, operands, params: _unb_any(g, params["shape"])
 )
 
 _transpose_p = Primitive("transpose")
@@ -414,20 +332,12 @@ defvjp(
 def _getitem_vjp(g, ans, operands, params):
     key, shape, dtype = params["key"], params["shape"], params["dtype"]
     buf = np.zeros(shape, dtype=dtype)
-    if is_tensor(g):
-        np.add.at(buf, key, g.data)
-        return _record(_scatter_p, buf, (g,), {"key": key})
     np.add.at(buf, key, g)
     return buf
 
 
 _getitem_p = Primitive("getitem")
 defvjp(_getitem_p, _getitem_vjp)
-
-# Gradient of a scatter is the gather back through the same key — this is
-# what keeps ``__getitem__`` differentiable to arbitrary order.
-_scatter_p = Primitive("scatter_add")
-defvjp(_scatter_p, lambda g, ans, operands, params: g[params["key"]])
 
 
 def _concat_vjp_all(g, ans, operands, params, argnums):
@@ -446,16 +356,7 @@ defvjp_all(_concat_p, _concat_vjp_all)
 
 
 def _stack_vjp_all(g, ans, operands, params, argnums):
-    axis = params["axis"]
-    if is_tensor(g):
-        nd = g.ndim
-        grads = []
-        for k in argnums:
-            index = [slice(None)] * nd
-            index[axis] = k
-            grads.append(g[tuple(index)])
-        return grads
-    moved = np.moveaxis(g, axis, 0)
+    moved = np.moveaxis(g, params["axis"], 0)
     return [moved[k] for k in argnums]
 
 
@@ -555,8 +456,6 @@ class Tensor:
     # Graph plumbing
     # ------------------------------------------------------------------
     def _accumulate(self, grad) -> None:
-        if grad.__class__ is not np.ndarray and is_tensor(grad):
-            grad = grad.data
         if self.grad is None:
             want = grad_dtype(self.data.dtype)
             if grad.dtype == want and self._node is not None:
@@ -818,5 +717,3 @@ class Tensor:
         other = other.data if isinstance(other, Tensor) else other
         return self.data < other
 
-
-register_tensor_type(Tensor)

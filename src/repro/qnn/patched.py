@@ -24,19 +24,13 @@ node routes the ``(p, n_weights)`` gradient back to the individual patch
 ``Parameter``s.  Only patches whose circuits are *not* structurally
 identical run the sequential per-patch loop, which is also the reference
 the stacked path is property-tested against.
-
-Under ``create_graph`` the stacked primitive's VJP switches to the
-parameter-shift rule, exploiting patch independence: patch outputs depend
-only on their own weight row, so shifting weight *column* ``i`` across all
-``p`` rows simultaneously is exact — ``2 * n_weights`` stacked executions
-instead of ``2 * p * n_weights``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn.autodiff import Primitive, defvjp_all, is_tensor
+from ..nn.autodiff import Primitive, defvjp_all
 from ..nn.init import fresh_rng
 from ..nn.modules import Module, ModuleList
 from ..nn.precision import resolve_precision
@@ -44,7 +38,6 @@ from ..nn.tensor import Tensor, is_grad_enabled, tape_record
 from ..quantum.autodiff import backward_stacked, execute_stacked
 from ..quantum.circuit import Circuit
 from ..quantum.engine import circuit_signature, stacked_plan
-from ..quantum.shift import _SHIFT, require_two_term
 from .qlayer import QuantumLayer
 
 __all__ = ["PatchedQuantumLayer", "patched_latent_dim", "patch_qubits"]
@@ -75,8 +68,6 @@ def patched_latent_dim(n_features: int, n_patches: int) -> int:
 
 
 def _stacked_vjp_all(g, ans, operands, params, argnums):
-    if is_tensor(g):
-        return _stacked_vjp_graph(g, operands, params, argnums)
     p, per_out = params["n_patches"], params["per_out"]
     batch, input_dim = params["batch"], params["input_dim"]
     grad_out = np.ascontiguousarray(
@@ -96,43 +87,6 @@ def _stacked_vjp_all(g, ans, operands, params, argnums):
                 ).reshape(batch, input_dim)
             )
     return grads
-
-
-def _stacked_vjp_graph(g, operands, params, argnums):
-    """``create_graph`` VJP: per-column parameter shift over all patches.
-
-    Patch ``k``'s outputs depend only on weight row ``k``, so adding the
-    shift to column ``i`` of every row at once yields each patch's shifted
-    evaluation in a single stacked pass.
-    """
-    if any(argnum != 0 for argnum in argnums):
-        raise NotImplementedError(
-            "higher-order gradients w.r.t. patched-layer inputs are not "
-            "supported; only the rotation weights admit the "
-            "parameter-shift recursion"
-        )
-    template = params["template"]
-    require_two_term(template)
-    weights, x = operands[0], operands[1]
-    p, per_out, batch = params["n_patches"], params["per_out"], params["batch"]
-    precision = params["precision"]
-    g3 = g.reshape(batch, p, per_out).transpose((1, 0, 2))
-    n = template.n_weights
-    cols = []
-    for index in range(n):
-        shift = np.zeros(n, dtype=weights.dtype)
-        shift[index] = _SHIFT
-        plus = quantum_execute_stacked(
-            template, weights + shift, x, p, precision=precision
-        )
-        minus = quantum_execute_stacked(
-            template, weights - shift, x, p, precision=precision
-        )
-        jac = ((plus - minus) * 0.5).reshape(batch, p, per_out).transpose(
-            (1, 0, 2)
-        )
-        cols.append((g3 * jac).sum(axis=(1, 2)))
-    return [Tensor.stack(cols, axis=1)]
 
 
 _QSTACKED = Primitive("quantum_execute_stacked")
@@ -177,12 +131,10 @@ def quantum_execute_stacked(
         (weights, x),
         {
             "cache": cache,
-            "template": template,
             "n_patches": n_patches,
             "per_out": per_out,
             "batch": batch,
             "input_dim": x.shape[1],
-            "precision": precision,
         },
     )
 

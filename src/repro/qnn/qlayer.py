@@ -10,24 +10,16 @@ flow through the same tape walk as the classical ops.  That VJP is the
 ``p = 1`` call of the stacked patched path (:mod:`repro.quantum.engine`):
 the same plan and checkpointed transition-matrix backward, so
 single-circuit layers — the MolQAE-style non-patched autoencoders — train
-on the same hot path as the patched ones.
-
-When the backward walk itself is being recorded (``create_graph=True``,
-the grad-of-grad path behind :func:`repro.nn.autodiff.hvp`), the adjoint
-cache is of no use — it yields numbers, not a differentiable graph.  The
-primitive's VJP then switches to the parameter-shift rule: each weight
-gradient is expanded into two shifted executions of the *same* recorded
-primitive, whose own (fast) VJPs are exact adjoints — so second
-derivatives are shift-of-adjoint, exact to machine precision for circuits
-whose weight-sourced gates admit the two-term rule (RX/RY/RZ; enforced by
-:func:`repro.quantum.shift.require_two_term`).
+on the same hot path as the patched ones.  Gradients are first order: the
+VJP returns arrays from the adjoint cache, and the parameter-shift rule
+(:mod:`repro.quantum.shift`) serves only as the tests' cross-check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn.autodiff import Primitive, defvjp_all, is_tensor
+from ..nn.autodiff import Primitive, defvjp_all
 from ..nn.init import fresh_rng
 from ..nn.modules import Module, Parameter
 from ..nn.precision import resolve_precision
@@ -36,14 +28,11 @@ from ..quantum.autodiff import backward as q_backward
 from ..quantum.autodiff import execute as q_execute
 from ..quantum.circuit import Circuit
 from ..quantum.engine import stacked_plan
-from ..quantum.shift import _SHIFT, require_two_term
 
 __all__ = ["QuantumLayer", "quantum_execute"]
 
 
 def _quantum_vjp_all(g, ans, operands, params, argnums):
-    if is_tensor(g):
-        return _quantum_vjp_graph(g, operands, params, argnums)
     circuit = params["circuit"]
     grad_inputs, grad_weights = q_backward(params["cache"], g)
     grads = []
@@ -63,35 +52,6 @@ def _quantum_vjp_all(g, ans, operands, params, argnums):
     return grads
 
 
-def _quantum_vjp_graph(g, operands, params, argnums):
-    """``create_graph`` VJP: expand weight gradients by parameter shift.
-
-    Each shifted evaluation is itself a recorded quantum primitive, so the
-    next backward walk differentiates it with the exact adjoint — second
-    derivatives come out as shift-of-adjoint.
-    """
-    if any(argnum != 0 for argnum in argnums):
-        raise NotImplementedError(
-            "higher-order gradients w.r.t. quantum-layer inputs are not "
-            "supported; only the rotation weights admit the "
-            "parameter-shift recursion"
-        )
-    circuit = params["circuit"]
-    require_two_term(circuit)
-    weights = operands[0]
-    x = operands[1] if len(operands) > 1 else None
-    precision = params["precision"]
-    n = circuit.n_weights
-    cols = []
-    for index in range(n):
-        shift = np.zeros(n, dtype=weights.dtype)
-        shift[index] = _SHIFT
-        plus = quantum_execute(circuit, weights + shift, x, precision=precision)
-        minus = quantum_execute(circuit, weights - shift, x, precision=precision)
-        cols.append((g * ((plus - minus) * 0.5)).sum())
-    return [Tensor.stack(cols)]
-
-
 _QEXEC = Primitive("quantum_execute")
 defvjp_all(_QEXEC, _quantum_vjp_all)
 
@@ -106,8 +66,7 @@ def quantum_execute(
 
     ``weights`` (and optionally ``x``) are Tensors; the returned
     ``(batch, output_dim)`` Tensor carries a tape node whose VJP is the
-    engine's exact adjoint (or the parameter-shift expansion under
-    ``create_graph``).  This is the single graph entry point for
+    engine's exact adjoint.  This is the single graph entry point for
     single-circuit layers — :class:`QuantumLayer.forward` is validation
     plus this call.
     """
@@ -126,12 +85,7 @@ def quantum_execute(
     if not track:
         return Tensor(outputs)
     args = (weights,) if x is None else (weights, x)
-    return tape_record(
-        _QEXEC,
-        outputs,
-        args,
-        {"cache": cache, "circuit": circuit, "precision": precision},
-    )
+    return tape_record(_QEXEC, outputs, args, {"cache": cache, "circuit": circuit})
 
 
 class QuantumLayer(Module):

@@ -8,7 +8,8 @@ G/2 are +-1/2) the exact derivative of any expectation-value output is
 This module exists to cross-validate the fast adjoint backward pass in
 :mod:`repro.quantum.autodiff`: the property-based tests assert both methods
 agree to near machine precision.  It costs two executions per parameter, so
-it is used only in tests and verification tooling, never in training.
+it is used only in tests and verification tooling, never in training, and
+only for first derivatives: the tape computes nothing of higher order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .circuit import Circuit
 
 __all__ = [
     "parameter_shift_gradients",
-    "parameter_shift_hessian",
     "parameter_shift_jacobian",
     "require_two_term",
 ]
@@ -32,9 +32,8 @@ _TWO_TERM = {"RX", "RY", "RZ"}
 def require_two_term(circuit: Circuit) -> None:
     """Raise unless every weight-sourced gate admits the two-term shift rule.
 
-    Shared by the shift-rule evaluators here and by the quantum layers'
-    higher-order (``create_graph``) VJPs, which expand gradients into
-    shifted executions.
+    Guards the shift-rule evaluators here: a gate outside the rule (e.g.
+    CRZ) would give a wrong gradient, not an error.
     """
     for op in circuit.ops:
         if op.source is not None and op.source[0] == "weight":
@@ -71,37 +70,6 @@ def parameter_shift_jacobian(
         minus, __ = execute(circuit, inputs, shifted, want_cache=False, dtype=dtype)
         jacobian[:, :, index] = (plus - minus) / 2.0
     return jacobian
-
-
-def parameter_shift_hessian(
-    circuit: Circuit,
-    inputs: np.ndarray | None,
-    weights: np.ndarray,
-    dtype=None,
-) -> np.ndarray:
-    """Second derivatives d^2 outputs / d weights^2 via shift-of-shift.
-
-    Applying the two-term rule twice gives the exact Hessian of every
-    output with respect to the rotation weights, shape
-    ``(batch, output_dim, n_weights, n_weights)``.  Costs
-    ``2 * n_weights`` Jacobian evaluations (each itself ``2 * n_weights``
-    executions) — strictly a verification anchor for the tape's
-    grad-of-grad path, never a training path.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    require_two_term(circuit)
-    n = circuit.n_weights
-    base = parameter_shift_jacobian(circuit, inputs, weights, dtype=dtype)
-    batch, out_dim, __ = base.shape
-    hessian = np.zeros((batch, out_dim, n, n), dtype=np.float64)
-    for index in range(n):
-        shifted = weights.copy()
-        shifted[index] = weights[index] + _SHIFT
-        plus = parameter_shift_jacobian(circuit, inputs, shifted, dtype=dtype)
-        shifted[index] = weights[index] - _SHIFT
-        minus = parameter_shift_jacobian(circuit, inputs, shifted, dtype=dtype)
-        hessian[:, :, index, :] = (plus - minus) / 2.0
-    return hessian
 
 
 def parameter_shift_gradients(

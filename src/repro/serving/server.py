@@ -9,8 +9,10 @@ object per line in each direction, arrays as nested lists.  Requests::
     {"kind": "ping"} / {"kind": "stats"}
 
 ``count`` and ``seed`` must be JSON integers (a float, boolean or string
-is not coerced), ``count`` lies in 1..``service.MAX_SAMPLE_COUNT``, and
-every array value must be finite.
+is not coerced), ``count`` lies in 1..``service.MAX_SAMPLE_COUNT``,
+``seed`` is non-negative, and every array value must be finite.  Each of
+these is checked before the request is queued, so a bad request fails
+alone, never the batch it would have been fused into.
 
 Responses carry ``{"ok": true, ...}`` with the result fields, or
 ``{"ok": false, "error": <name>, "message": <text>}`` where ``error`` is

@@ -186,6 +186,10 @@ class GenerationService:
             raise ValueError(
                 f"count must be at most {MAX_SAMPLE_COUNT}, got {count}"
             )
+        # The worker's default_rng rejects a negative seed, which would
+        # fail every request fused into the same batch; refuse it here.
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         entry = self._entry(checkpoint)
         if not entry.is_variational:
             raise TypeError(

@@ -168,13 +168,7 @@ class Trainer:
             n_batches = 0
             self.model.train()
             for batch in loader:
-                # set_to_none pairs with the compiled tape (repro.nn.graph):
-                # full-size batches re-record structurally identical tapes,
-                # so every backward after the first runs one cached
-                # GraphPlan with reused cotangent buffers, and dropping
-                # .grad lets leaves adopt the plan's fresh outputs instead
-                # of accumulating into stale zeroed buffers.
-                self.optimizer.zero_grad(set_to_none=True)
+                self.optimizer.zero_grad()
                 output = self.model(Tensor(batch, dtype=real))
                 loss, terms = autoencoder_loss(
                     output, Tensor(batch, dtype=real), beta=config.beta

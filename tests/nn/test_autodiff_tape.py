@@ -1,18 +1,21 @@
-"""Tape-core tests: grad modes, functional grad/hvp, higher-order classics.
+"""Tape-core tests: the recording flag and the one backward walk.
 
-The first-order semantics of :meth:`Tensor.backward` are covered by
-``test_tensor.py`` (unchanged across the tape refactor — that is the
-point).  This file covers what the tape adds: ``no_grad``/``enable_grad``
-as decorators, Tensor exponents, repeated/retained backward walks, the
-functional :func:`repro.nn.grad` interface, and grad-of-grad against
-analytic second derivatives and finite differences of first gradients.
+The per-op gradients of :meth:`Tensor.backward` are covered by
+``test_tensor.py`` and ``test_gradcheck.py``.  This file covers what the
+tape adds: ``no_grad`` as a decorator, Tensor exponents, the walk's
+semantics (retained and repeated walks, accumulation, released
+cotangents, the seed left untouched, grad dtypes) against closed-form
+values, and the public surface the walk left behind.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, enable_grad, grad, hvp, is_grad_enabled, no_grad
+import repro.nn
+from repro.nn import Adam, Tensor, is_grad_enabled, no_grad
+from repro.nn.functional import mse_loss
 from repro.nn.modules import Linear, Sequential, Tanh
+from repro.nn.precision import use_precision
 
 
 def numeric_grad(fn, x0, eps=1e-6):
@@ -57,25 +60,6 @@ class TestGradModeDecorators:
             y = x * 2.0
         assert not y.requires_grad
         assert (x * 2.0).requires_grad
-
-    def test_enable_grad_reenables_inside_no_grad(self):
-        x = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            with enable_grad():
-                y = x * 2.0
-            z = x * 3.0
-        assert y.requires_grad
-        assert not z.requires_grad
-
-    def test_enable_grad_decorator(self):
-        @enable_grad()
-        def fn(t):
-            return t * 2.0
-
-        x = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            y = fn(x)
-        assert y.requires_grad
 
     def test_decorator_restores_flag_on_exception(self):
         @no_grad()
@@ -157,168 +141,128 @@ class TestRepeatedBackward:
         assert x.grad is None
 
 
-class TestFunctionalGrad:
-    def test_grad_matches_backward(self):
-        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        y = (x.tanh() * x).sum()
-        (g,) = grad(y, [x], retain_graph=True)
+class TestWalkSemantics:
+    """What the walk guarantees, checked against closed-form gradients."""
+
+    def test_retain_graph_accumulation(self):
+        v = np.random.default_rng(0).normal(size=(4,))
+        x = Tensor(v.copy(), requires_grad=True)
+        y = (x * x).tanh().sum()
+        y.backward(retain_graph=True)
+        y.backward(retain_graph=True)
         y.backward()
-        np.testing.assert_allclose(g.data, x.grad)
+        # d/dx sum(tanh(x^2)) = 2x (1 - tanh(x^2)^2), accumulated 3 times.
+        once = 2.0 * v * (1.0 - np.tanh(v * v) ** 2)
+        np.testing.assert_allclose(x.grad, 3.0 * once, rtol=1e-12)
 
-    def test_grad_single_tensor_shorthand(self):
-        x = Tensor([2.0], requires_grad=True)
-        g = grad((x**3).sum(), x)
-        np.testing.assert_allclose(g.data, [12.0])
-
-    def test_grad_does_not_touch_grad_buffers(self):
-        x = Tensor([2.0], requires_grad=True)
-        grad((x * x).sum(), [x])
-        assert x.grad is None
-
-    def test_grad_requires_scalar_without_seed(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ValueError, match="scalar"):
-            grad(x * 2.0, [x])
-
-    def test_grad_with_grad_output(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        (g,) = grad(x * x, [x], grad_output=np.array([1.0, 10.0]))
-        np.testing.assert_allclose(g.data, [2.0, 40.0])
-
-    def test_unreachable_input_raises_unless_allowed(self):
-        x = Tensor([1.0], requires_grad=True)
-        z = Tensor([1.0], requires_grad=True)
-        y = (x * 2.0).sum()
-        with pytest.raises(ValueError, match="allow_unused"):
-            grad(y, [z], retain_graph=True)
-        gx, gz = grad(y, [x, z], allow_unused=True)
-        np.testing.assert_allclose(gx.data, [2.0])
-        assert gz is None
-
-    def test_grad_of_input_is_seed(self):
-        x = Tensor([5.0], requires_grad=True)
-        (g,) = grad(x.sum(), [x])
-        np.testing.assert_allclose(g.data, [1.0])
-
-
-class TestHigherOrder:
-    def test_second_derivative_of_cubic(self):
-        x = Tensor(np.array([1.0, 2.0, -0.5]), requires_grad=True)
-        (g,) = grad((x**3).sum(), [x], create_graph=True)
-        (h,) = grad(g.sum(), [x])
-        np.testing.assert_allclose(h.data, 6.0 * x.data)
-
-    @pytest.mark.parametrize(
-        "fn,second",
-        [
-            (lambda x: x.exp(), lambda v: np.exp(v)),
-            (lambda x: x.log(), lambda v: -1.0 / v**2),
-            (lambda x: x.sqrt(), lambda v: -0.25 * v**-1.5),
-            (
-                lambda x: x.tanh(),
-                lambda v: -2 * np.tanh(v) * (1 - np.tanh(v) ** 2),
-            ),
-            (
-                lambda x: x.sigmoid(),
-                lambda v: (s := 1 / (1 + np.exp(-v))) * (1 - s) * (1 - 2 * s),
-            ),
-            (lambda x: 1.0 / x, lambda v: 2.0 / v**3),
-        ],
-    )
-    def test_unary_second_derivatives(self, fn, second):
-        v = np.array([0.3, 0.9, 1.7])
+    def test_preexisting_grad_accumulates(self):
+        v = np.random.default_rng(1).normal(size=(4,))
         x = Tensor(v.copy(), requires_grad=True)
-        (g,) = grad(fn(x).sum(), [x], create_graph=True)
-        (h,) = grad(g.sum(), [x])
-        np.testing.assert_allclose(h.data, second(v), rtol=1e-10)
+        (x * 3.0).sum().backward()
+        (x.tanh()).sum().backward()  # accumulates into the existing .grad
+        np.testing.assert_allclose(
+            x.grad, 3.0 + (1.0 - np.tanh(v) ** 2), rtol=1e-12
+        )
 
-    def test_third_derivative(self):
-        x = Tensor([2.0], requires_grad=True)
-        (g1,) = grad((x**4).sum(), [x], create_graph=True)
-        (g2,) = grad(g1.sum(), [x], create_graph=True)
-        (g3,) = grad(g2.sum(), [x])
-        np.testing.assert_allclose(g3.data, [24.0 * 2.0])
+    def test_intermediates_carry_no_grad_after_backward(self):
+        # Cotangents are released once their node's VJPs have read them.
+        v = np.arange(6.0).reshape(2, 3)
+        x = Tensor(v.copy(), requires_grad=True)
+        h = (x * 2.0).tanh()
+        u = h * h
+        z = u.sum()
+        z.backward()
+        t = np.tanh(2.0 * v)
+        np.testing.assert_allclose(x.grad, 4.0 * t * (1.0 - t**2), rtol=1e-12)
+        assert h.grad is None
+        assert u.grad is None
+        assert z.grad is None
 
-    def test_hvp_matches_finite_diff_of_grads_mlp(self):
+    def test_seed_array_is_not_mutated(self):
+        seed = np.full((3,), 2.0)
+        keep = seed.copy()
+        v = np.arange(3.0)
+        x = Tensor(v.copy(), requires_grad=True)
+        y = (x * x).tanh()
+        y.backward(seed)
+        assert np.array_equal(seed, keep)
+        np.testing.assert_allclose(
+            x.grad, 2.0 * 2.0 * v * (1.0 - np.tanh(v * v) ** 2), rtol=1e-12
+        )
+
+    def test_leaf_grads_not_shared_between_runs(self):
+        """Two walks of the same structure must not share .grad storage."""
+        def run():
+            x = Tensor(np.arange(4.0), requires_grad=True)
+            w = Tensor(np.ones(4), requires_grad=True)
+            # Two contributions into w take the accumulation path.
+            ((x * w).tanh() + w * 0.5).sum().backward()
+            return x.grad, w.grad
+
+        g1 = run()
+        g2 = run()
+        v = np.arange(4.0)
+        sech2 = 1.0 - np.tanh(v) ** 2
+        np.testing.assert_allclose(g1[0], sech2, rtol=1e-12)
+        np.testing.assert_allclose(g1[1], v * sech2 + 0.5, rtol=1e-12)
+        for a, b in zip(g1, g2):
+            assert a is not b
+            assert np.array_equal(a, b)
+        g1[0][...] = -1.0  # mutating run 1's grads must not corrupt run 2's
+        assert not np.array_equal(g1[0], g2[0])
+
+    def test_cross_dtype_chain_keeps_each_leaf_dtype(self):
+        """float32 and float64 leaves in one graph: each grad keeps its
+        leaf's dtype, whatever dtype the contributions arrive in."""
         rng = np.random.default_rng(0)
-        model = Sequential(Linear(4, 8, rng=rng), Tanh(), Linear(8, 1, rng=rng))
-        x = Tensor(rng.normal(size=(5, 4)))
-        params = list(model.parameters())
-        vs = [rng.normal(size=p.shape) for p in params]
+        a = rng.normal(size=(5,)).astype(np.float32)
+        b = rng.normal(size=(5,))
+        with use_precision("float32"):
+            x32 = Tensor(a, requires_grad=True)
+            x64 = Tensor(b, requires_grad=True)
+            ((x32 * x64).tanh().exp() * x32).sum().backward()
+        assert x32.grad.dtype == np.float32
+        assert x64.grad.dtype == np.float64
+        # f = sum(exp(tanh(ab)) a), evaluated in float64.
+        a64 = a.astype(np.float64)
+        t = np.tanh(a64 * b)
+        inner = np.exp(t) * (1.0 - t**2)
+        np.testing.assert_allclose(
+            x32.grad, inner * b * a64 + np.exp(t), rtol=1e-5
+        )
+        np.testing.assert_allclose(x64.grad, inner * a64 * a64, rtol=1e-5)
 
-        def loss():
-            return (model(x) ** 2).sum()
 
-        hvps = hvp(loss(), params, vs)
+class TestOneWalkSurface:
+    REMOVED = ("graph", "GraphPlan", "plan_cache_stats", "clear_plan_cache",
+               "grad", "hvp", "enable_grad")
 
-        # Reference: (grad(theta + eps v) - grad(theta - eps v)) / 2eps with
-        # EVERY parameter perturbed along its v at once, so the cross-block
-        # Hessian terms the full HVP contains are present too.
-        eps = 1e-6
-        bases = [p.data.copy() for p in params]
-        for p, base, v in zip(params, bases, vs):
-            p.data = base + eps * v
-        gp = grad(loss(), params)
-        for p, base, v in zip(params, bases, vs):
-            p.data = base - eps * v
-        gm = grad(loss(), params)
-        for p, base in zip(params, bases):
-            p.data = base
-        for h, gpq, gmq in zip(hvps, gp, gm):
-            fd = (gpq.data - gmq.data) / (2 * eps)
-            np.testing.assert_allclose(h.data, fd, atol=1e-4)
+    def test_nn_exports_none_of_the_removed_names(self):
+        for name in self.REMOVED:
+            assert name not in repro.nn.__all__, name
+            if name != "graph":  # a submodule import would set that one
+                assert not hasattr(repro.nn, name), name
 
-    def test_hvp_zero_for_linear_function(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        h = hvp((x * 3.0).sum(), x, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(h.data, [0.0, 0.0])
+    def test_autodiff_keeps_only_the_walk(self):
+        from repro.nn import autodiff
 
-    def test_higher_order_through_shapes_and_indexing(self):
-        v = np.array([0.5, 1.5, 2.5, 3.5])
-        x = Tensor(v.copy(), requires_grad=True)
+        for name in ("grad", "hvp", "enable_grad", "naive_backward_pass",
+                     "is_tensor", "register_tensor_type"):
+            assert not hasattr(autodiff, name), name
+        assert "args" not in autodiff.Node.__slots__
 
-        def f(t):
-            a = t.reshape(2, 2).T
-            b = Tensor.concatenate([a[0], a[1]])
-            c = Tensor.stack([b, b * 2.0]).max(axis=0)
-            return (c * c).sum()
+    def test_plan_cache_stats_read_zero_after_a_training_step(self):
+        from repro.nn.graph import plan_cache_stats
 
-        (g,) = grad(f(x), [x], create_graph=True)
-        (h,) = grad(g.sum(), [x])
-        # f reduces to sum((2 t_i)^2) = 4 sum t_i^2; grad = 8 t, hess diag 8.
-        np.testing.assert_allclose(g.data, 8.0 * v)
-        np.testing.assert_allclose(h.data, np.full(4, 8.0))
-
-    def test_higher_order_matmul(self):
-        rng = np.random.default_rng(3)
-        w0 = rng.normal(size=(3, 3))
-        x0 = rng.normal(size=(2, 3))
-        w = Tensor(w0.copy(), requires_grad=True)
-        x = Tensor(x0.copy())
-
-        def quartic(wt):
-            y = x @ wt
-            return ((y @ wt) ** 2).sum()
-
-        def quartic_np(xm, wm):
-            y = xm @ wm
-            return float(((y @ wm) ** 2).sum())
-
-        (g,) = grad(quartic(w), [w], create_graph=True)
-        v = rng.normal(size=(3, 3))
-        h = hvp(quartic(w), w, v)
-        gp = numeric_grad(lambda m: quartic_np(x0, m), w0)
-        np.testing.assert_allclose(g.data, gp, atol=1e-5)
-        # Outer difference over the (already finite-diff-validated) exact
-        # first-order gradient, so the reference error stays O(eps^2).
-        eps = 1e-6
-        w.data = w0 + eps * v
-        g_plus = grad(quartic(w), w)
-        w.data = w0 - eps * v
-        g_minus = grad(quartic(w), w)
-        w.data = w0
-        fd = (g_plus.data - g_minus.data) / (2 * eps)
-        np.testing.assert_allclose(h.data, fd, atol=1e-4)
+        rng = np.random.default_rng(0)
+        model = Sequential(Linear(3, 4, rng=rng), Tanh(), Linear(4, 3, rng=rng))
+        optimizer = Adam(model.parameters(), lr=0.01)
+        x = Tensor(rng.normal(size=(5, 3)))
+        for _ in range(2):
+            optimizer.zero_grad()
+            mse_loss(model(x), x).backward()
+            optimizer.step()
+        assert plan_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
 
 class TestModuleFreezing:

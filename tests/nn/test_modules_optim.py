@@ -216,6 +216,24 @@ class TestOptimizers:
         np.testing.assert_allclose(p.data, [1.0])
 
 
+class TestZeroGrad:
+    def _params(self):
+        p = Tensor(np.arange(3.0), requires_grad=True)
+        (p * p).sum().backward()
+        return p
+
+    def test_default_sets_none(self):
+        p = self._params()
+        SGD([p], lr=0.1).zero_grad()
+        assert p.grad is None
+
+    def test_set_to_none_option_is_gone(self):
+        # zero_grad always drops the buffers; there is no in-place mode.
+        p = self._params()
+        with pytest.raises(TypeError):
+            SGD([p], lr=0.1).zero_grad(set_to_none=False)
+
+
 class TestTraining:
     def test_mlp_learns_xor(self):
         rng = np.random.default_rng(0)

@@ -17,6 +17,7 @@ from repro.quantum import (
     prepare_amplitude_state,
     sel_weight_count,
 )
+from repro.quantum.shift import require_two_term
 
 
 def _finite_diff_weights(circuit, inputs, weights, grad_outputs, eps=1e-6):
@@ -212,6 +213,13 @@ class TestGradients:
         grad_outputs = rng.normal(size=outputs.shape)
         __, adjoint = backward(cache, grad_outputs)
         gradcheck_shift(circuit, None, weights, grad_outputs, adjoint, atol=1e-10)
+
+    def test_require_two_term_rejects_crz(self):
+        circuit = Circuit(2)
+        circuit.crz(0, 1)
+        circuit.measure_expval()
+        with pytest.raises(ValueError, match="two-term"):
+            require_two_term(circuit)
 
     def test_input_gradients_match_finite_diff(self):
         circuit = (

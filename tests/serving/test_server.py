@@ -243,6 +243,21 @@ class TestWireErrors:
             assert "must be a JSON integer" in response["message"]
             assert client.ping()
 
+    def test_negative_seed_is_bad_request(self, server):
+        # A negative seed used to fail inside the worker's default_rng with
+        # a message that did not name the field.
+        with client_for(server) as client:
+            response = raw_reply(
+                client, b'{"kind": "sample", "count": 2, "seed": -1}\n'
+            )
+            assert response == {
+                "ok": False, "error": "bad_request",
+                "message": "seed must be non-negative, got -1",
+            }
+            assert client.ping()
+        # Refused on the calling thread: nothing reached the batcher.
+        assert server.service.stats()["batcher"]["requests"] == 0
+
     def test_sample_count_cap_in_process(self, server):
         accepted = server.dispatch({"kind": "sample",
                                     "count": MAX_SAMPLE_COUNT})

@@ -93,6 +93,18 @@ class TestBatchedEqualsSequential:
         for i, c in enumerate(counts):
             assert (batched[i] == sequential_sample(model, c, 40 + i)).all()
 
+    def test_negative_seed_fails_alone(self, sq_vae_checkpoint, worker_held):
+        # A negative seed used to reach the worker's default_rng, whose
+        # ValueError failed every sample request fused into its batch.
+        with GenerationService(default_checkpoint=sq_vae_checkpoint) as service:
+            model = service.registry.load(sq_vae_checkpoint).model
+            with worker_held(service.batcher):
+                with pytest.raises(ValueError, match="seed must be non-negative"):
+                    service.sample_async(2, seed=-1)
+                valid = service.sample_async(2, seed=5)
+            result = valid.result(10.0)
+        assert (result == sequential_sample(model, 2, 5)).all()
+
     def test_sample_matches_model_sample_api(self, vae_checkpoint):
         # The service's per-request semantics ARE model.sample's.
         with GenerationService(default_checkpoint=vae_checkpoint) as service:

@@ -55,3 +55,12 @@ def test_experiment_runner_imports_no_process_machinery():
     # does repro-quick's set-up probe: the pool is imported inside main.
     assert _loaded_after("import repro.experiments.run",
                          {"multiprocessing", "concurrent.futures.process"}) == "[]"
+
+
+def test_entry_points_load_no_backward_plan_module():
+    # Tensor.backward walks the tape; repro.nn.graph holds only the zero
+    # plan-cache counters that the end-to-end benchmark's tracer reads.
+    assert _loaded_after(
+        "import repro.cli, repro.experiments.run, repro.serving, repro.training",
+        {"repro.nn.graph"},
+    ) == "[]"
