@@ -5,7 +5,9 @@ The per-op gradients of :meth:`Tensor.backward` are covered by
 tape adds: ``no_grad`` as a decorator, Tensor exponents, the walk's
 semantics (retained and repeated walks, accumulation, released
 cotangents, the seed left untouched, grad dtypes) against closed-form
-values, and the public surface the walk left behind.
+values, whole graphs (op chains, random op soups, multi-consumer nodes,
+views, broadcasting, indexing, matmul shapes, precision policies) against
+central finite differences, and the public surface the walk left behind.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ import repro.nn
 from repro.nn import Adam, Tensor, is_grad_enabled, no_grad
 from repro.nn.functional import mse_loss
 from repro.nn.modules import Linear, Sequential, Tanh
-from repro.nn.precision import use_precision
+from repro.nn.optim import SGD
+from repro.nn.precision import resolve_precision, use_precision
 
 
 def numeric_grad(fn, x0, eps=1e-6):
@@ -32,6 +35,37 @@ def numeric_grad(fn, x0, eps=1e-6):
         flat_x[i] = orig
         flat_g[i] = (hi - lo) / (2 * eps)
     return out
+
+
+def assert_walk_matches_fd(fn, arrays, *, rtol=1e-6, atol=1e-6):
+    """``fn(*leaves).backward()`` against central differences of ``fn``.
+
+    The leaves hold ``arrays`` in their own dtype; the reference evaluates
+    ``fn`` on float64 copies.  A leaf the root does not reach must keep
+    ``.grad`` None, with a zero finite-difference gradient.  ``atol`` is
+    relative to the largest reference entry when that exceeds 1.
+    """
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    fn(*leaves).backward()
+    ref = [np.asarray(a, dtype=np.float64) for a in arrays]
+    for k, leaf in enumerate(leaves):
+
+        def value(v, k=k):
+            args = [Tensor(v if j == k else b) for j, b in enumerate(ref)]
+            with no_grad():
+                return fn(*args).item()
+
+        expected = numeric_grad(value, ref[k].copy())
+        scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+        if leaf.grad is None:
+            np.testing.assert_allclose(expected, 0.0, atol=atol * scale)
+            continue
+        assert leaf.grad.shape == leaf.data.shape
+        np.testing.assert_allclose(
+            leaf.grad, expected, rtol=rtol, atol=atol * scale,
+            err_msg=f"leaf {k}",
+        )
+    return leaves
 
 
 class TestGradModeDecorators:
@@ -231,6 +265,444 @@ class TestWalkSemantics:
             x32.grad, inner * b * a64 + np.exp(t), rtol=1e-5
         )
         np.testing.assert_allclose(x64.grad, inner * a64 * a64, rtol=1e-5)
+
+    def test_leaf_root_takes_the_seed(self):
+        seed = np.array([1.5, -2.0, 0.25])
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        x.backward(seed)
+        assert np.array_equal(x.grad, seed)
+        seed[0] = 99.0  # the leaf's grad is its own copy
+        assert x.grad[0] == 1.5
+
+    def test_seed_gives_the_vector_jacobian_product(self):
+        rng = np.random.default_rng(2)
+        v, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        seed = rng.normal(size=(3, 2))
+        x = Tensor(v.copy(), requires_grad=True)
+        (x @ Tensor(w)).backward(seed)
+        np.testing.assert_allclose(x.grad, seed @ w.T, rtol=1e-12)
+
+    def test_scalar_seed_broadcasts_over_the_root(self):
+        v = np.arange(6.0).reshape(2, 3)
+        x = Tensor(v.copy(), requires_grad=True)
+        (x * x).backward(2.0)
+        np.testing.assert_allclose(x.grad, 4.0 * v, rtol=1e-12)
+
+    def test_unreachable_leaf_keeps_no_grad(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        z = Tensor(np.arange(3.0), requires_grad=True)
+        (x * x).sum().backward()
+        np.testing.assert_allclose(x.grad, 2.0 * np.arange(3.0))
+        assert z.grad is None
+
+    def test_frozen_leaf_gets_no_grad(self):
+        v = np.arange(4.0)
+        x = Tensor(v.copy(), requires_grad=True)
+        w = Tensor(np.ones(4), requires_grad=True)
+        w.requires_grad = False
+        (x * w).tanh().sum().backward()
+        assert w.grad is None
+        np.testing.assert_allclose(x.grad, 1.0 - np.tanh(v) ** 2, rtol=1e-12)
+
+    def test_no_grad_branch_carries_no_gradient(self):
+        v = np.arange(4.0)
+        x = Tensor(v.copy(), requires_grad=True)
+        w = Tensor(np.ones(4), requires_grad=True)
+        with no_grad():
+            h = x * 2.0
+        (h * w).tanh().sum().backward()
+        assert x.grad is None
+        np.testing.assert_allclose(
+            w.grad, 2.0 * v * (1.0 - np.tanh(2.0 * v) ** 2), rtol=1e-12
+        )
+
+    def test_shape_change_between_walks(self):
+        for n in (4, 5, 4):
+            v = np.arange(float(n))
+            x = Tensor(v.copy(), requires_grad=True)
+            w = Tensor(np.full(n, 0.5), requires_grad=True)
+            (x * w).tanh().sum().backward()
+            sech2 = 1.0 - np.tanh(0.5 * v) ** 2
+            np.testing.assert_allclose(x.grad, 0.5 * sech2, rtol=1e-12)
+            np.testing.assert_allclose(w.grad, v * sech2, rtol=1e-12)
+
+    def test_policy_change_between_walks(self):
+        # Same structure and array dtypes; only the grad accumulation
+        # width differs between the two policies.
+        for policy, want in (("float32", np.float32), ("mixed32", np.float64),
+                             ("float32", np.float32)):
+            with use_precision(policy):
+                x = Tensor(np.arange(4.0, dtype=np.float32), requires_grad=True)
+                (x * x).sum().backward()
+            assert x.grad.dtype == want
+            np.testing.assert_array_equal(x.grad, 2.0 * np.arange(4.0))
+
+    def test_sgd_loop_matches_closed_form(self):
+        """Five SGD steps through the walk land where the numpy gradient
+        of the same loss takes them."""
+        rng = np.random.default_rng(3)
+        w0, xv = rng.normal(size=(4, 4)), rng.normal(size=(8, 4))
+        w = Tensor(w0.copy(), requires_grad=True)
+        opt = SGD([w], lr=0.05)
+        ref = w0.copy()
+        for _ in range(5):
+            opt.zero_grad()
+            ((Tensor(xv) @ w).tanh() ** 2).sum().backward()
+            opt.step()
+            t = np.tanh(xv @ ref)
+            ref = ref - 0.05 * xv.T @ (2.0 * t * (1.0 - t**2))
+        np.testing.assert_allclose(w.data, ref, rtol=1e-12, atol=1e-14)
+
+
+# Each op in isolation, then chained: the walk's gradient of a scalar
+# loss must match central differences of the same loss.
+SINGLE_OPS = {
+    "mul_add": lambda x: (x * 3.0 + 1.0).sum(),
+    "neg_sub": lambda x: (-x - 0.5).sum(),
+    "exp": lambda x: (x * x).exp().sum(),
+    "log": lambda x: (x.abs() + 1.0).log().sum(),
+    "sqrt": lambda x: (x * x + 1.0).sqrt().sum(),
+    "relu": lambda x: x.relu().sum(),
+    "sigmoid": lambda x: x.sigmoid().sum(),
+    "tanh": lambda x: x.tanh().sum(),
+    "abs": lambda x: x.abs().sum(),
+    "clip": lambda x: x.clip(-0.5, 0.5).sum(),
+    "pow_int": lambda x: (x**3).sum(),
+    "pow_frac": lambda x: ((x.abs() + 0.1) ** 2.5).sum(),
+    "div": lambda x: (x / 1.7).sum(),
+}
+
+
+def _random_graph(seed):
+    """A random op soup over leaves ``x`` (3, 4) and ``y`` (4,)."""
+    unary = [
+        lambda t: t.tanh(), lambda t: t.sigmoid(), lambda t: t.relu(),
+        lambda t: (t * t + 1.0).sqrt(), lambda t: t.abs(),
+        lambda t: t.clip(-2.0, 2.0), lambda t: (t * 0.3).exp(),
+        lambda t: -t, lambda t: t ** 2,
+    ]
+    binary = [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+        lambda a, b: a / (b * b + 1.0), lambda a, b: a * 0.5 + b,
+    ]
+
+    def fn(x, y):
+        oprng = np.random.default_rng(100 + seed)
+        live = [x, x * 1.0 + y, (x + y).tanh()]
+        for _ in range(12):
+            if oprng.random() < 0.5 or len(live) < 2:
+                t = live[oprng.integers(len(live))]
+                live.append(unary[oprng.integers(len(unary))](t))
+            else:
+                a = live[oprng.integers(len(live))]
+                b = live[oprng.integers(len(live))]
+                live.append(binary[oprng.integers(len(binary))](a, b))
+        total = live[-1]
+        for t in live[-4:-1]:
+            total = total + t
+        return total.sum()
+
+    return fn
+
+
+class TestElementwiseChains:
+    @pytest.mark.parametrize("fn", SINGLE_OPS.values(), ids=SINGLE_OPS.keys())
+    def test_single_op_chains(self, fn):
+        x = np.random.default_rng(0).normal(size=(4, 5))
+        assert_walk_matches_fd(fn, [x])
+
+    def test_deep_chain(self):
+        def fn(x):
+            h = x
+            for i in range(20):
+                h = (h * 1.01).tanh() if i % 2 else (h + 0.1).sigmoid()
+            return h.sum()
+
+        assert_walk_matches_fd(fn, [np.random.default_rng(0).normal(size=(8, 16))])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(3, 4)), rng.normal(size=(4,))
+        assert_walk_matches_fd(_random_graph(seed), [x, y])
+
+
+class TestStructuralOps:
+    def test_matmul_mlp(self):
+        rng = np.random.default_rng(0)
+        arrays = [
+            rng.normal(size=(6, 5)), rng.normal(size=(5, 7)) * 0.3,
+            rng.normal(size=(7,)) * 0.1, rng.normal(size=(7, 2)) * 0.3,
+        ]
+
+        def fn(x, w1, b1, w2):
+            return (((x @ w1 + b1).tanh() @ w2) ** 2).sum()
+
+        assert_walk_matches_fd(fn, arrays)
+
+    def test_broadcasting_reductions_indexing(self):
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(4, 3)), rng.normal(size=(3,)),
+                  rng.normal(size=(1, 3))]
+
+        def fn(x, b, s):
+            h = (x + b) * s
+            u = h.sum(axis=0, keepdims=True) + h.max(axis=1, keepdims=True)
+            v = u.reshape((-1,))[2:5]
+            w = Tensor.concatenate([v, v * 2.0], axis=0)
+            t = Tensor.stack([w, -w], axis=0)
+            return (t.transpose((1, 0)) ** 2).sum()
+
+        assert_walk_matches_fd(fn, arrays)
+
+    def test_multi_consumer_accumulation(self):
+        """One tensor feeding five consumers sums every contribution."""
+
+        def fn(x):
+            h = x.tanh()
+            a = (h * 2.0).exp()
+            b = (h + 1.0).sigmoid()
+            c = h * h
+            d = h / (c + 1.0)
+            return (a * b + c * d).sum()
+
+        assert_walk_matches_fd(fn, [np.random.default_rng(0).normal(size=(5, 5))])
+
+    def test_astype_and_scalar_root(self):
+        # Under the default float64 policy a float32 leaf accumulates in
+        # float64 (grad_dtype promotion).
+        v = np.random.default_rng(0).normal(size=(3,)).astype(np.float32)
+        x = Tensor(v, requires_grad=True)
+        y = x.astype(np.float64)
+        ((y * y).sum() * 2.0).backward()
+        assert x.grad.dtype == np.float64
+        np.testing.assert_array_equal(x.grad, 4.0 * v.astype(np.float64))
+
+
+class TestPrecisionPolicies:
+    @pytest.mark.parametrize("policy", ["float64", "float32", "mixed32"])
+    def test_policy_grads(self, policy):
+        precision = resolve_precision(policy)
+        rng = np.random.default_rng(0)
+        xv = rng.normal(size=(4, 4)).astype(precision.real)
+        wv = rng.normal(size=(4, 4)).astype(precision.real)
+
+        def fn(x, w):
+            return ((x @ w).relu().exp() * x.sigmoid()).sum()
+
+        tol = 1e-6 if precision.real == np.float64 else 1e-4
+        with use_precision(policy):
+            x, w = assert_walk_matches_fd(fn, [xv, wv], rtol=tol, atol=tol)
+        assert x.grad.dtype == precision.grad_real
+        assert w.grad.dtype == precision.grad_real
+
+
+VIEW_CHAINS = {
+    "transpose": lambda x: (x.T * 2.0).tanh().sum(),
+    "reshape": lambda x: (x.reshape(20) * 1.5).sigmoid().sum(),
+    "transpose_reshape_mix":
+        lambda x: ((x.T.reshape(20).reshape(5, 4).T * 0.7) ** 2).sum(),
+    "astype": lambda x: (x.astype("float64") * 3.0).tanh().sum(),
+}
+
+
+class TestViewChains:
+    """Transpose, reshape and astype VJPs hand back views of their
+    cotangent; the views must reach the leaf with the right layout."""
+
+    @pytest.mark.parametrize("fn", VIEW_CHAINS.values(), ids=VIEW_CHAINS.keys())
+    def test_view_chains(self, fn):
+        x = np.random.default_rng(0).normal(size=(4, 5)).astype(np.float32)
+        (leaf,) = assert_walk_matches_fd(fn, [x], rtol=1e-4, atol=1e-5)
+        assert leaf.grad.dtype == np.float64
+
+    def test_same_base_consumed_through_two_views(self):
+        def fn(x):
+            return ((x.T * 2.0).tanh()
+                    + x.reshape(16).sigmoid().reshape(4, 4)).sum()
+
+        assert_walk_matches_fd(fn, [np.random.default_rng(0).normal(size=(4, 4))])
+
+    def test_view_cotangent_meets_a_second_contribution(self):
+        def fn(x):
+            y = (x * 1.3).tanh()
+            return y.T.sum() + (y * y).sum()
+
+        assert_walk_matches_fd(fn, [np.random.default_rng(0).normal(size=(3, 7))])
+
+
+MATMUL_SHAPES = {
+    "vec_vec": ((5,), (5,)),
+    "vec_mat": ((5,), (5, 3)),
+    "mat_vec": ((4, 5), (5,)),
+    "mat_mat": ((4, 5), (5, 3)),
+    "batched": ((2, 4, 5), (2, 5, 3)),
+    "batch_left": ((2, 4, 5), (5, 3)),
+    "batch_right": ((4, 5), (2, 5, 3)),
+}
+
+
+class TestMatmul:
+    @staticmethod
+    def _mlp_closed_form(xv, w1v, w2v):
+        """Gradients of sum(tanh(x w1) w2) w.r.t. w1 and w2."""
+        h = np.tanh(xv @ w1v)
+        gh = np.ones((xv.shape[0], w2v.shape[1])) @ w2v.T
+        return xv.T @ (gh * (1.0 - h**2)), h.T @ np.ones((xv.shape[0], w2v.shape[1]))
+
+    @pytest.mark.parametrize("shapes", MATMUL_SHAPES.values(),
+                             ids=MATMUL_SHAPES.keys())
+    def test_operand_shapes(self, shapes):
+        rng = np.random.default_rng(0)
+        a, b = (rng.normal(size=s) for s in shapes)
+        cot = rng.normal(size=np.matmul(a, b).shape)
+        leaves = assert_walk_matches_fd(
+            lambda x, y: ((x @ y) * Tensor(cot)).sum(), [a, b]
+        )
+        assert [leaf.grad.shape for leaf in leaves] == list(shapes)
+
+    def test_two_layer_mlp(self):
+        rng = np.random.default_rng(0)
+        xv = rng.normal(size=(6, 8))
+        w1v, w2v = rng.normal(size=(8, 10)), rng.normal(size=(10, 4))
+        w1 = Tensor(w1v.copy(), requires_grad=True)
+        w2 = Tensor(w2v.copy(), requires_grad=True)
+        ((Tensor(xv) @ w1).tanh() @ w2).sum().backward()
+        g1, g2 = self._mlp_closed_form(xv, w1v, w2v)
+        np.testing.assert_allclose(w1.grad, g1, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(w2.grad, g2, rtol=1e-12, atol=1e-13)
+
+    def test_float32_mlp(self):
+        rng = np.random.default_rng(0)
+        xv = rng.normal(size=(6, 8)).astype(np.float32)
+        arrays = [rng.normal(size=(8, 10)).astype(np.float32),
+                  rng.normal(size=(10, 4)).astype(np.float32)]
+        with use_precision("float32"):
+            w1, w2 = assert_walk_matches_fd(
+                lambda a, b: ((Tensor(xv) @ a).tanh() @ b).sum(), arrays,
+                rtol=1e-4, atol=1e-4,
+            )
+        assert w1.grad.dtype == w2.grad.dtype == np.float32
+
+    def test_mixed_dtype_matmul(self):
+        """f32 @ f64 promotes; each leaf's grad keeps the policy's width
+        for its own dtype."""
+        rng = np.random.default_rng(0)
+        av = rng.normal(size=(5, 6)).astype(np.float32)
+        bv = rng.normal(size=(6, 3))
+        a, b = assert_walk_matches_fd(
+            lambda x, y: (x @ y).tanh().sum(), [av, bv], rtol=1e-5, atol=1e-6
+        )
+        assert a.grad.dtype == b.grad.dtype == np.float64
+
+    def test_repeated_walks_track_new_values(self):
+        """Three walks of one structure with the data changed in place
+        between them: every walk sees the values of its own forward."""
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(6, 8)))
+        w1 = Tensor(rng.normal(size=(8, 10)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(10, 4)), requires_grad=True)
+        for _ in range(3):
+            w1.grad = w2.grad = None
+            ((x @ w1).tanh() @ w2).sum().backward()
+            g1, g2 = self._mlp_closed_form(x.data, w1.data, w2.data)
+            np.testing.assert_allclose(w1.grad, g1, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(w2.grad, g2, rtol=1e-12, atol=1e-13)
+            w1.data += 0.1
+            x.data *= 1.01
+
+
+REDUCTIONS = {
+    "sum_all": ("sum", None, False),
+    "sum_axis0": ("sum", 0, False),
+    "sum_last_keepdims": ("sum", -1, True),
+    "mean_axes": ("mean", (0, 2), False),
+    "mean_keepdims": ("mean", 1, True),
+    "max_axis": ("max", 1, False),
+}
+
+INDEX_KEYS = {
+    "int": 2,
+    "slice": slice(1, 4),
+    "negative_step": slice(None, None, -2),
+    "column": (slice(None), 1),
+    "repeated_rows": [0, 2, 2, 4],
+    "repeated_pairs": ([0, 1, 1, 4], [3, 0, 0, 3]),
+    "bool_mask": np.array([True, False, True, True, False]),
+}
+
+
+class TestReductionsAndIndexing:
+    """Reduction, indexing, stacking and concatenation VJPs under a
+    random cotangent, so every output entry carries its own weight."""
+
+    @staticmethod
+    def _weighted(out_fn, shape, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        with no_grad():
+            cot = rng.normal(size=out_fn(Tensor(x)).shape)
+        return lambda t: (out_fn(t) * Tensor(cot)).sum(), x
+
+    @pytest.mark.parametrize("spec", REDUCTIONS.values(), ids=REDUCTIONS.keys())
+    def test_reductions(self, spec):
+        op, axis, keepdims = spec
+        fn, x = self._weighted(
+            lambda t: getattr(t, op)(axis=axis, keepdims=keepdims), (3, 4, 5)
+        )
+        assert_walk_matches_fd(fn, [x])
+
+    @pytest.mark.parametrize("key", INDEX_KEYS.values(), ids=INDEX_KEYS.keys())
+    def test_getitem(self, key):
+        fn, x = self._weighted(lambda t: t[key], (5, 4))
+        assert_walk_matches_fd(fn, [x])
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_stack_skips_constant_operands(self, axis):
+        rng = np.random.default_rng(1)
+        c = Tensor(rng.normal(size=(3, 4)))  # no grad: not in argnums
+        cot = rng.normal(size=np.stack([c.data] * 3, axis=axis).shape)
+        assert_walk_matches_fd(
+            lambda x, y: (Tensor.stack([x, c, y], axis=axis)
+                          * Tensor(cot)).sum(),
+            [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
+        )
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_concatenate(self, axis):
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        cot = rng.normal(size=np.concatenate([a, a, b], axis=axis).shape)
+        assert_walk_matches_fd(
+            lambda x, y: (Tensor.concatenate([x, x * 2.0, y], axis=axis)
+                          * Tensor(cot)).sum(),
+            [a, b],
+        )
+
+
+class TestStagedKernels:
+    """tanh, sigmoid and a fractional power chained, in both dtypes."""
+
+    @staticmethod
+    def _chain(x):
+        h = x
+        for _ in range(4):
+            h = (h.tanh() * 1.1).sigmoid() ** 2.5
+        return h.sum()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chain(self, dtype):
+        x = (np.random.default_rng(0).random(size=(8, 9)) + 0.5).astype(dtype)
+        tol = 1e-6 if dtype == np.float64 else 1e-4
+        assert_walk_matches_fd(self._chain, [x], rtol=tol, atol=tol)
+
+    def test_repeated_walks_track_new_values(self):
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            assert_walk_matches_fd(
+                lambda x: ((x * 0.9).tanh().sigmoid() ** 3).sum(),
+                [rng.normal(size=(7, 7))],
+            )
 
 
 class TestOneWalkSurface:
