@@ -1,9 +1,8 @@
 """Molecule-pipeline benchmarks: batched vs per-molecule reference scoring.
 
 Times the Table II evaluation path — decode -> sanitize -> QED/logP/SA ->
-uniqueness — end to end on a representative noisy ligand stack, plus the
-fingerprint/novelty and descriptor-matrix sub-stages.  Every ``bench_*``
-function has a ``*_reference`` twin running the kept per-molecule scalar
+uniqueness — end to end on a representative noisy ligand stack.  Every
+``bench_*`` function has a ``*_reference`` twin running the kept per-molecule scalar
 path on the same workload; the two produce bit-for-bit identical values
 (enforced by ``tests/chem/test_batch_equivalence.py``), so the recorded
 ratio is pure pipeline speedup.
@@ -23,19 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.chem.batch import MoleculeBatch, descriptor_matrix_batch, sanitize_batch
-from repro.chem.fingerprints import (
-    morgan_fingerprints,
-    nearest_neighbor_similarity_reference,
-    novelty,
-)
 from repro.chem.metrics import score_matrices, score_matrices_reference
 from repro.chem.sa import default_fragment_table
 from repro.data import load_pdbbind_ligands
-from repro.evaluation.distribution import descriptor_matrix_reference
 
 PIPELINE_N = 256
-NOVELTY_N = 128
 NOISE_SEED = 617
 NOISE_SIGMA = 0.35
 
@@ -44,10 +35,6 @@ NOISE_SIGMA = 0.35
 MOLECULES_PER_CALL = {
     "bench_score_pipeline_256": PIPELINE_N,
     "bench_score_pipeline_256_reference": PIPELINE_N,
-    "bench_fingerprint_novelty": NOVELTY_N,
-    "bench_fingerprint_novelty_reference": NOVELTY_N,
-    "bench_descriptor_matrix": PIPELINE_N,
-    "bench_descriptor_matrix_reference": PIPELINE_N,
 }
 
 
@@ -57,23 +44,6 @@ def _noisy_stack() -> np.ndarray:
     raw = load_pdbbind_ligands(PIPELINE_N, seed=2019).raw.astype(np.float64)
     rng = np.random.default_rng(NOISE_SEED)
     return raw + rng.normal(0.0, NOISE_SIGMA, size=raw.shape)
-
-
-@lru_cache(maxsize=1)
-def _scored_molecules() -> tuple:
-    """The sanitized, non-empty molecules the noisy stack decodes to."""
-    batch = MoleculeBatch.from_matrices(_noisy_stack())
-    return tuple(m for m in sanitize_batch(batch) if m.num_atoms)
-
-
-@lru_cache(maxsize=1)
-def _novelty_sets() -> tuple[list, list]:
-    """(generated, reference) molecule lists for the novelty sub-bench."""
-    generated = list(_scored_molecules())[:NOVELTY_N]
-    reference = MoleculeBatch.from_matrices(
-        load_pdbbind_ligands(NOVELTY_N, seed=77).raw.astype(np.float64)
-    ).molecules
-    return generated, reference
 
 
 # ----------------------------------------------------------------------
@@ -89,39 +59,3 @@ def bench_score_pipeline_256_reference(benchmark):
     stack = _noisy_stack()
     table = default_fragment_table()
     benchmark(lambda: score_matrices_reference(stack, table=table))
-
-
-# ----------------------------------------------------------------------
-# bulk fingerprints + generated x reference novelty
-# ----------------------------------------------------------------------
-def bench_fingerprint_novelty(benchmark):
-    generated, reference = _novelty_sets()
-    reference_fps = morgan_fingerprints(reference)
-    benchmark(
-        lambda: novelty(generated, reference_fingerprints=reference_fps)
-    )
-
-
-def bench_fingerprint_novelty_reference(benchmark):
-    generated, reference = _novelty_sets()
-
-    def run():
-        similarity = nearest_neighbor_similarity_reference(
-            generated, reference
-        )
-        return float((similarity < 1.0).mean())
-
-    benchmark(run)
-
-
-# ----------------------------------------------------------------------
-# descriptor matrix (distribution metrics input)
-# ----------------------------------------------------------------------
-def bench_descriptor_matrix(benchmark):
-    molecules = list(_scored_molecules())
-    benchmark(lambda: descriptor_matrix_batch(molecules))
-
-
-def bench_descriptor_matrix_reference(benchmark):
-    molecules = list(_scored_molecules())
-    benchmark(lambda: descriptor_matrix_reference(molecules))

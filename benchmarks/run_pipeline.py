@@ -45,8 +45,6 @@ _REFERENCE_SUFFIX = "_reference"
 # scoring shows up as ~1.0x, far below every floor.
 SPEEDUP_FLOORS = {
     "bench_score_pipeline_256": 3.0,
-    "bench_fingerprint_novelty": 4.0,
-    "bench_descriptor_matrix": 4.0,
 }
 
 # Absolute molecules/sec floors for the batched stages.  Deliberately an
@@ -55,7 +53,6 @@ SPEEDUP_FLOORS = {
 # recomputes its graph contexts), not on runner hardware.
 THROUGHPUT_FLOORS = {
     "bench_score_pipeline_256": 60.0,
-    "bench_descriptor_matrix": 100.0,
 }
 
 

@@ -3,8 +3,7 @@
 
 Walks one molecule through everything the Table II evaluation uses:
 matrix encoding/decoding, SMILES, descriptors, QED / logP / SA scoring,
-Lipinski filters, scaffolds, fingerprints, and set-level metrics on a
-generated library.
+and the set-level metrics on a generated library.
 
 Run:
     python examples/chemistry_toolkit.py
@@ -12,27 +11,19 @@ Run:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.chem import (
     crippen_logp,
     default_fragment_table,
     encode_molecule,
     from_smiles,
-    lipinski_report,
-    morgan_fingerprint,
-    murcko_scaffold,
-    novelty,
     qed,
     qed_properties,
     random_molecules,
     sa_score,
-    scaffold_diversity,
     score_molecules,
-    tanimoto,
     to_smiles,
 )
-from repro.evaluation import distribution_report, render_molecule_matrix
+from repro.evaluation import render_molecule_matrix
 
 
 def main() -> None:
@@ -53,30 +44,13 @@ def main() -> None:
     print(f"QED  = {qed(mol):.3f}   logP = {crippen_logp(mol):.2f}   "
           f"SA = {sa_score(mol, table):.2f}")
 
-    report = lipinski_report(mol)
-    print(f"Lipinski violations: {report.n_violations} "
-          f"({', '.join(report.violations) or 'none'})")
-
-    scaffold = murcko_scaffold(mol)
-    print(f"Murcko scaffold: {to_smiles(scaffold)}")
-
-    analog = from_smiles("CC(C)CC:1:C:C:C(C(C)C(N)=O):C:C:1")  # amide analog
-    similarity = tanimoto(morgan_fingerprint(mol), morgan_fingerprint(analog))
-    print(f"Tanimoto to amide analog: {similarity:.2f}")
-
     # Set-level metrics on a generated library (the Table II machinery).
     print("\n-- generated library analysis --")
-    reference = random_molecules(60, seed=1)
     library = random_molecules(60, seed=2)
     scores = score_molecules(library, table=table)
     print(f"validity {scores.validity:.2f}  QED {scores.qed:.3f}  "
           f"logP {scores.logp:.3f}  SA {scores.sa:.3f}  "
           f"unique {scores.uniqueness:.2f}")
-    print(f"scaffold diversity: {scaffold_diversity(library):.2f}")
-    print(f"novelty vs reference set: {novelty(library, reference):.2f}")
-
-    print()
-    print(distribution_report(reference, library).format_table())
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ import os
 import numpy as np
 
 from repro.data import load_cifar_gray
-from repro.evaluation import ascii_image, reconstruction_report, side_by_side
+from repro.evaluation import ascii_image, side_by_side
 from repro.models import ClassicalAE, ScalableQuantumAE
-from repro.training import TrainConfig, Trainer
+from repro.training import TrainConfig, Trainer, evaluate_reconstruction
 
 
 def main() -> None:
@@ -43,9 +43,8 @@ def main() -> None:
     for name, model in models.items():
         trainer = Trainer(model, TrainConfig.paper_sq(epochs=epochs, seed=seed))
         history = trainer.fit(data)
-        report = reconstruction_report(model, data)
         print(f"{name}: final train loss {history.final_train_loss:.4f}, "
-              f"mean recon MSE {report['mean_mse']:.4f}")
+              f"mean recon MSE {evaluate_reconstruction(model, data):.4f}")
 
     # Qualitative panel: input vs both reconstructions for two images.
     originals = data.features[:2]

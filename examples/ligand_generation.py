@@ -22,7 +22,7 @@ from repro.chem import qed, sanitize_lenient, to_smiles
 from repro.chem.metrics import normalized_logp, normalized_sa
 from repro.chem.sa import default_fragment_table
 from repro.data import load_pdbbind_ligands, train_test_split
-from repro.evaluation import sample_molecules
+from repro.evaluation import sample_batch
 from repro.models import ScalableQuantumVAE
 from repro.qnn import patched_latent_dim
 from repro.training import TrainConfig, Trainer
@@ -61,7 +61,7 @@ def main() -> None:
               f"test {record.test_loss:.4f}")
 
     # 4. Sample candidate ligands from the Gaussian prior and rank them.
-    raw = sample_molecules(model, 40, np.random.default_rng(seed + 1))
+    raw = sample_batch(model, 40, np.random.default_rng(seed + 1)).molecules
     table = default_fragment_table()
     candidates = []
     for mol in raw:

@@ -22,7 +22,8 @@ Subpackages
 ``repro.training``
     Trainer with the paper's heterogeneous learning rates, losses, history.
 ``repro.evaluation``
-    Reconstruction metrics, prior sampling into molecules, ASCII rendering.
+    Reconstruction panels, prior sampling into molecule matrices, ASCII
+    rendering.
 ``repro.experiments``
     One driver per paper table/figure (Table I/II, Fig. 4-8).
 

@@ -8,7 +8,6 @@ property metrics: QED, Crippen logP, and the Ertl-style SA score.
 from .batch import (
     MoleculeBatch,
     crippen_logp_batch,
-    descriptor_matrix_batch,
     qed_batch,
     sa_score_batch,
     sanitize_batch,
@@ -25,28 +24,8 @@ from .descriptors import (
     structural_alerts,
     tpsa,
 )
-from .fingerprints import (
-    bulk_tanimoto,
-    morgan_fingerprint,
-    morgan_fingerprints,
-    nearest_neighbor_similarity,
-    novelty,
-    tanimoto,
-    tanimoto_matrix,
-)
 from .generation import MoleculeSpec, random_molecule, random_molecules
-from .lipinski import (
-    LipinskiReport,
-    lipinski_report,
-    passes_rule_of_five,
-    passes_veber,
-)
-from .scaffold import (
-    canonical_signature,
-    murcko_scaffold,
-    same_molecule,
-    scaffold_diversity,
-)
+from .scaffold import canonical_signature
 from .matrix import (
     ATOM_CODES,
     BOND_CODES,
@@ -125,26 +104,11 @@ __all__ = [
     "score_matrices",
     "uniqueness",
     "MoleculeSetScores",
-    "murcko_scaffold",
     "canonical_signature",
-    "same_molecule",
-    "scaffold_diversity",
-    "LipinskiReport",
-    "lipinski_report",
-    "passes_rule_of_five",
-    "passes_veber",
-    "morgan_fingerprint",
-    "morgan_fingerprints",
-    "tanimoto",
-    "bulk_tanimoto",
-    "tanimoto_matrix",
-    "nearest_neighbor_similarity",
-    "novelty",
     "MoleculeBatch",
     "qed_batch",
     "crippen_logp_batch",
     "sa_score_batch",
-    "descriptor_matrix_batch",
     "sanitize_batch",
     "valid_mask",
     "unique_fraction",

@@ -48,7 +48,6 @@ __all__ = [
     "qed_batch",
     "crippen_logp_batch",
     "sa_score_batch",
-    "descriptor_matrix_batch",
     "sanitize_batch",
     "valid_mask",
     "unique_fraction",
@@ -254,7 +253,7 @@ class MoleculeBatch:
         return ctx
 
     # ------------------------------------------------------------------
-    # Environment keys (shared by SA scoring and bulk fingerprints)
+    # Environment keys (SA scoring)
     # ------------------------------------------------------------------
     def _entries(self, index: int):
         """Per-atom labels and per-directed-edge entry strings, cached.
@@ -528,7 +527,7 @@ def hydrogen_bond_donors_batch(molecules) -> np.ndarray:
 def _ring_tier(batch: MoleculeBatch) -> dict[str, np.ndarray]:
     """Ring-dependent descriptor columns, one graph context per molecule.
 
-    Replays the scalar logic of ``rotatable_bonds``, ``ring_count``,
+    Replays the scalar logic of ``rotatable_bonds``,
     ``aromatic_ring_count``, ``structural_alerts``'s ring patterns, and
     ``sa._complexity_penalty`` against cached rings/ring-bonds instead of
     recomputing them per descriptor.
@@ -539,7 +538,6 @@ def _ring_tier(batch: MoleculeBatch) -> dict[str, np.ndarray]:
     n = len(batch)
     degree = batch._derived("degree")
     rotatable = np.zeros(n, dtype=np.int64)
-    ring_count = np.zeros(n, dtype=np.int64)
     aromatic_rings = np.zeros(n, dtype=np.int64)
     ring_alerts = np.zeros(n, dtype=np.int64)
     complexity = np.zeros(n, dtype=np.float64)
@@ -557,8 +555,6 @@ def _ring_tier(batch: MoleculeBatch) -> dict[str, np.ndarray]:
             if deg[i] >= 2 and deg[j] >= 2:
                 count += 1
         rotatable[index] = count
-
-        ring_count[index] = len(rings)
 
         arom_count = 0
         for ring in rings:
@@ -602,7 +598,6 @@ def _ring_tier(batch: MoleculeBatch) -> dict[str, np.ndarray]:
 
     cached = {
         "rotatable": rotatable,
-        "ring_count": ring_count,
         "aromatic_rings": aromatic_rings,
         "ring_alerts": ring_alerts,
         "complexity": complexity,
@@ -727,26 +722,6 @@ def sa_score_batch(molecules, table=None) -> np.ndarray:
             raw = 8.0 + math.log(raw + 1.0 - 9.0)
         out[index] = min(10.0, max(1.0, raw))
     return out
-
-
-def descriptor_matrix_batch(molecules) -> np.ndarray:
-    """Batched :func:`repro.evaluation.distribution.descriptor_matrix`."""
-    batch = _as_batch(molecules)
-    ring_tier = _ring_tier(batch)
-    columns = [
-        batch.counts,
-        molecular_weight_batch(batch),
-        crippen_logp_batch(batch),
-        qed_batch(batch),
-        ring_tier["ring_count"],
-        ring_tier["aromatic_rings"],
-        hydrogen_bond_acceptors_batch(batch),
-        hydrogen_bond_donors_batch(batch),
-        ring_tier["rotatable"],
-    ]
-    return np.stack(
-        [np.asarray(c, dtype=np.float64) for c in columns], axis=1
-    ).reshape(-1, len(columns))
 
 
 # ----------------------------------------------------------------------

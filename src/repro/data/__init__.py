@@ -13,19 +13,12 @@ from .pdbbind import (
     PDBBIND_FILTERED_COUNT,
     PDBBIND_MATRIX_SIZE,
     PDBBIND_REFINED_COUNT,
-    iter_pdbbind_matrices,
     ligand_passes_filter,
     load_pdbbind_ligands,
     pdbbind_spec,
 )
-from .qm9 import QM9_MATRIX_SIZE, iter_qm9_matrices, load_qm9, qm9_spec
+from .qm9 import QM9_MATRIX_SIZE, load_qm9, qm9_spec
 from .statistics import MatrixDatasetStats, dataset_statistics
-from .streaming import (
-    iter_shards,
-    score_matrix_stream,
-    stream_pdbbind_ligands,
-    stream_qm9,
-)
 
 __all__ = [
     "ArrayDataset",
@@ -49,10 +42,4 @@ __all__ = [
     "CIFAR_SIZE",
     "MatrixDatasetStats",
     "dataset_statistics",
-    "iter_qm9_matrices",
-    "iter_pdbbind_matrices",
-    "iter_shards",
-    "stream_qm9",
-    "stream_pdbbind_ligands",
-    "score_matrix_stream",
 ]

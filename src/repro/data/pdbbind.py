@@ -26,7 +26,6 @@ __all__ = [
     "PDBBIND_FILTERED_COUNT",
     "pdbbind_spec",
     "ligand_passes_filter",
-    "iter_pdbbind_matrices",
     "load_pdbbind_ligands",
 ]
 
@@ -64,9 +63,8 @@ def iter_pdbbind_matrices(
 ):
     """Yield filtered ligand matrices one at a time (single sequential rng).
 
-    The generate-and-filter loop consumes one rng stream in attempt order,
-    so shard-wise grouping of this iterator concatenates to exactly the
-    matrices :func:`load_pdbbind_ligands` materializes.  Raises
+    The generate-and-filter loop consumes one rng stream in attempt order;
+    :func:`load_pdbbind_ligands` stacks exactly what this yields.  Raises
     ``RuntimeError`` after exhausting the attempt budget with fewer than
     ``n_samples`` survivors (after yielding those it found).
     """

@@ -15,7 +15,7 @@ from ..chem.generation import MoleculeSpec, random_molecule
 from ..chem.matrix import encode_molecule
 from .loader import ArrayDataset
 
-__all__ = ["QM9_MATRIX_SIZE", "qm9_spec", "iter_qm9_matrices", "load_qm9"]
+__all__ = ["QM9_MATRIX_SIZE", "qm9_spec", "load_qm9"]
 
 QM9_MATRIX_SIZE = 8
 
@@ -37,10 +37,8 @@ def qm9_spec() -> MoleculeSpec:
 def iter_qm9_matrices(n_samples: int, seed: int = 2022):
     """Yield the QM9-like matrices one at a time (single sequential rng).
 
-    Generation consumes one rng stream in sample order, so any shard-wise
-    grouping of this iterator concatenates to exactly the matrices
-    :func:`load_qm9` materializes — the invariant the streaming loaders in
-    :mod:`repro.data.streaming` rely on.
+    Generation consumes one rng stream in sample order; :func:`load_qm9`
+    stacks exactly what this yields.
     """
     rng = np.random.default_rng(seed)
     spec = qm9_spec()

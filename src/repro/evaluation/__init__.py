@@ -1,55 +1,23 @@
-"""Evaluation utilities: reconstruction, sampling, distributions, rendering."""
+"""Evaluation utilities: reconstruction panels, prior sampling, rendering."""
 
-from .distribution import (
-    DESCRIPTOR_NAMES,
-    DescriptorDistributions,
-    descriptor_matrix,
-    distribution_report,
-)
-from .latent import (
-    decode_to_molecules,
-    encode_to_latent,
-    interpolate_latent,
-    latent_neighborhood,
-)
-from .reconstruction import (
-    molecule_reconstruction_report,
-    per_sample_mse,
-    reconstruct_samples,
-    reconstruction_report,
-)
+from .reconstruction import reconstruct_samples
 from .sampling import (
     decode_latents,
     matrix_size,
     prior_latents,
-    sample_and_score,
     sample_batch,
     sample_matrices,
-    sample_molecules,
 )
 from .visualize import ascii_image, render_molecule_matrix, side_by_side
 
 __all__ = [
-    "per_sample_mse",
     "reconstruct_samples",
-    "reconstruction_report",
-    "molecule_reconstruction_report",
     "matrix_size",
     "prior_latents",
     "decode_latents",
     "sample_matrices",
     "sample_batch",
-    "sample_molecules",
-    "sample_and_score",
     "ascii_image",
     "render_molecule_matrix",
     "side_by_side",
-    "DescriptorDistributions",
-    "DESCRIPTOR_NAMES",
-    "descriptor_matrix",
-    "distribution_report",
-    "encode_to_latent",
-    "interpolate_latent",
-    "decode_to_molecules",
-    "latent_neighborhood",
 ]

@@ -4,24 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..chem.batch import MoleculeBatch, valid_mask
-from ..chem.scaffold import canonical_signature
 from ..data.loader import ArrayDataset
 from ..models.base import Autoencoder
 
-__all__ = [
-    "per_sample_mse",
-    "reconstruct_samples",
-    "reconstruction_report",
-    "molecule_reconstruction_report",
-]
-
-
-def per_sample_mse(model: Autoencoder, features: np.ndarray) -> np.ndarray:
-    """MSE of each sample's reconstruction, shape ``(n,)``."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    recon = model.reconstruct(features)
-    return ((recon - features) ** 2).mean(axis=1)
+__all__ = ["reconstruct_samples"]
 
 
 def reconstruct_samples(
@@ -39,54 +25,3 @@ def reconstruct_samples(
                          replace=False)
     originals = dataset.features[indices]
     return originals, model.reconstruct(originals)
-
-
-def reconstruction_report(
-    model: Autoencoder, dataset: ArrayDataset
-) -> dict[str, float]:
-    """Summary statistics of reconstruction error over a dataset."""
-    errors = per_sample_mse(model, dataset.features)
-    return {
-        "mean_mse": float(errors.mean()),
-        "median_mse": float(np.median(errors)),
-        "worst_mse": float(errors.max()),
-        "best_mse": float(errors.min()),
-    }
-
-
-def molecule_reconstruction_report(
-    model: Autoencoder, dataset: ArrayDataset
-) -> dict[str, float]:
-    """Graph-level reconstruction fidelity for molecule-matrix datasets.
-
-    Decodes originals and reconstructions as two packed batches and
-    reports: the fraction of reconstructions that decode to strictly valid
-    molecules, the fraction recovering the original graph exactly (by
-    canonical signature), and the mean heavy-atom count error.  Requires
-    a dataset of flattened square molecule matrices.
-    """
-    features = np.asarray(dataset.features, dtype=np.float64)
-    size = int(round(np.sqrt(features.shape[1])))
-    if size * size != features.shape[1]:
-        raise ValueError(
-            f"feature dim {features.shape[1]} is not a square matrix "
-            "flattening"
-        )
-    originals = MoleculeBatch.from_matrices(features.reshape(-1, size, size))
-    recon = MoleculeBatch.from_matrices(
-        model.reconstruct(features).reshape(-1, size, size)
-    )
-    n = len(originals)
-    if n == 0:
-        return {"validity": 0.0, "exact_match": 0.0, "mean_atom_error": 0.0}
-    matches = sum(
-        1
-        for orig, rec in zip(originals.molecules, recon.molecules)
-        if canonical_signature(orig) == canonical_signature(rec)
-    )
-    atom_error = np.abs(originals.counts - recon.counts)
-    return {
-        "validity": float(valid_mask(recon).mean()),
-        "exact_match": matches / n,
-        "mean_atom_error": float(atom_error.mean()),
-    }

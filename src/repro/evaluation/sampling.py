@@ -1,9 +1,10 @@
 """Prior sampling from generative autoencoders into molecule space.
 
-This is the Table II pipeline: draw Gaussian noise from the learned latent
-space, decode to continuous matrices, discretize onto molecule-matrix codes,
-decode to graphs, apply lenient validity correction, and score the set with
-the normalized QED / logP / SA metrics.
+This is the front of the Table II pipeline: draw Gaussian noise from the
+learned latent space, decode to continuous matrices, then discretize onto
+molecule-matrix codes and decode to graphs.  Lenient validity correction and
+the normalized QED / logP / SA scores follow in
+:func:`repro.chem.metrics.score_matrices` / ``score_molecules``.
 """
 
 from __future__ import annotations
@@ -11,15 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..chem.batch import MoleculeBatch
-from ..chem.metrics import MoleculeSetScores, score_molecules
-from ..chem.molecule import Molecule
-from ..chem.sa import FragmentTable
 from ..models.base import Autoencoder
 from ..nn.tensor import Tensor, no_grad
 
 __all__ = ["matrix_size", "prior_latents", "decode_latents",
-           "sample_matrices", "sample_batch", "sample_molecules",
-           "sample_and_score"]
+           "sample_matrices", "sample_batch"]
 
 
 def matrix_size(model: Autoencoder) -> int:
@@ -69,26 +66,3 @@ def sample_batch(
 ) -> MoleculeBatch:
     """Sampled matrices discretized and decoded as one packed batch."""
     return MoleculeBatch.from_matrices(sample_matrices(model, n_samples, rng))
-
-
-def sample_molecules(
-    model: Autoencoder, n_samples: int, rng: np.random.Generator
-) -> list[Molecule]:
-    """Sampled matrices discretized and decoded into (raw) molecule graphs."""
-    return sample_batch(model, n_samples, rng).molecules
-
-
-def sample_and_score(
-    model: Autoencoder,
-    n_samples: int,
-    rng: np.random.Generator,
-    table: FragmentTable | None = None,
-) -> MoleculeSetScores:
-    """The full Table II metric: sample, correct, and score a molecule set.
-
-    Runs end-to-end on the batched substrate: the sampled stack is decoded
-    in one vectorized pass and scored set-at-a-time.
-    """
-    return score_molecules(
-        sample_batch(model, n_samples, rng), table=table, correct=True
-    )

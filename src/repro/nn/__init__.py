@@ -21,7 +21,7 @@ from .modules import (
     Sigmoid,
     Tanh,
 )
-from .optim import SGD, Adam, Optimizer, heterogeneous_adam
+from .optim import Adam, Optimizer, heterogeneous_adam
 from .precision import (
     FLOAT32,
     FLOAT64,
@@ -33,7 +33,6 @@ from .precision import (
     use_precision,
 )
 from .serialization import load_module, module_fingerprint, save_module
-from .schedulers import CosineAnnealingLR, ExponentialLR, LRScheduler, StepLR
 from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
@@ -52,13 +51,8 @@ __all__ = [
     "Sequential",
     "ModuleList",
     "Optimizer",
-    "SGD",
     "Adam",
     "heterogeneous_adam",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
     "save_module",
     "load_module",
     "module_fingerprint",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -51,33 +51,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params, {"lr": lr, "momentum": momentum})
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for group in self.param_groups:
-            lr, momentum = group["lr"], group["momentum"]
-            for param in group["params"]:
-                if param.grad is None:
-                    continue
-                if momentum > 0:
-                    vel = self._velocity.get(id(param))
-                    vel = momentum * vel + param.grad if vel is not None else param.grad
-                    self._velocity[id(param)] = vel
-                    update = vel
-                else:
-                    update = param.grad
-                # Cast back so float64-accumulated gradients never silently
-                # widen float32 parameters.
-                param.data = (param.data - lr * update).astype(
-                    param.data.dtype, copy=False
-                )
 
 
 class Adam(Optimizer):

@@ -51,6 +51,13 @@ merge into 4x4 kron blocks, consecutive permutations compose into single
 gathers, and one adjoint walk — one transition-matrix contraction per dense
 block — returns every instance's gradients.  A single circuit is the
 ``p = 1`` stack: :func:`execute` / :func:`backward` make exactly that call.
+
+The rest of the package is the exact statevector primitives the engine is
+tested against (:mod:`~repro.quantum.state`, :mod:`~repro.quantum.gates`),
+the parameter-shift rule (:mod:`~repro.quantum.shift`, an independent
+gradient oracle for the adjoint) and the text drawer behind ``repro.cli
+draw`` (:func:`draw`).  Simulation is exact and noiseless, as in the
+paper: there is no shot sampling or noise channel.
 """
 
 from . import gates
@@ -68,18 +75,6 @@ from .autodiff import (
 from .circuit import Circuit, Operation, sel_weight_count
 from .drawer import draw
 from .engine import StackedPlan, compile_stacked, stacked_plan
-from .noise import NoiseModel, noisy_execute
-from .observables import (
-    pauli_string_expval,
-    pauli_string_variance,
-    rotate_to_z_basis,
-)
-from .sampling import (
-    estimate_expval_z,
-    estimate_probabilities,
-    sample_basis_states,
-    shot_noise_std,
-)
 from .shift import parameter_shift_gradients, parameter_shift_jacobian
 from .state import (
     apply_gate,
@@ -120,13 +115,4 @@ __all__ = [
     "zero_state",
     "z_signs",
     "draw",
-    "NoiseModel",
-    "noisy_execute",
-    "sample_basis_states",
-    "estimate_expval_z",
-    "estimate_probabilities",
-    "shot_noise_std",
-    "pauli_string_expval",
-    "pauli_string_variance",
-    "rotate_to_z_basis",
 ]

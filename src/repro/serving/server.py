@@ -14,6 +14,17 @@ is not coerced), ``count`` lies in 1..``service.MAX_SAMPLE_COUNT``,
 these is checked before the request is queued, so a bad request fails
 alone, never the batch it would have been fused into.
 
+``sample`` and ``encode`` may name another model with ``"checkpoint":
+"<path>"``.  The path must be a string; a relative one is taken from the
+server's working directory, and a name without ``.npz`` falls back to the
+suffixed file, as on the command line.  It must then resolve, symlinks
+followed, to an existing file directly inside the directory that holds
+the service's default checkpoint.  Anything else is one ``bad_request``
+naming ``checkpoint``, answered before any file is opened: another
+directory, a ``..`` or symlink escape, a subdirectory, a missing file.
+A service without a default checkpoint serves no wire ``checkpoint`` at
+all.  The in-process :class:`GenerationService` API is not confined.
+
 Responses carry ``{"ok": true, ...}`` with the result fields, or
 ``{"ok": false, "error": <name>, "message": <text>}`` where ``error`` is
 one of ``queue_full`` / ``request_timeout`` / ``service_closed`` /
@@ -39,6 +50,7 @@ from __future__ import annotations
 import json
 import socketserver
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -133,6 +145,12 @@ class GenerationServer(socketserver.ThreadingTCPServer):
         self.max_requests = max_requests
         self._served = 0
         self._count_lock = threading.Lock()
+        default = service.default_entry
+        # The one directory a wire ``checkpoint`` may name a file in.
+        self._checkpoint_dir = (
+            default.path.parent.resolve()
+            if default is not None and default.path is not None else None
+        )
 
     # ------------------------------------------------------------------
     def respond(self, line: bytes) -> bytes:
@@ -159,14 +177,14 @@ class GenerationServer(socketserver.ThreadingTCPServer):
                 matrices = self.service.sample(
                     _json_int(_required(message, kind, "count"), "count"),
                     seed=_json_int(message.get("seed", 0), "seed"),
-                    checkpoint=message.get("checkpoint"),
+                    checkpoint=self._checkpoint(message),
                 )
                 return {"ok": True, "matrices": matrices.tolist()}
             if kind == "encode":
                 latents = self.service.encode(
                     np.asarray(_required(message, kind, "features"),
                                dtype=np.float64),
-                    checkpoint=message.get("checkpoint"),
+                    checkpoint=self._checkpoint(message),
                 )
                 return {"ok": True, "latents": latents.tolist()}
             if kind == "score":
@@ -185,6 +203,36 @@ class GenerationServer(socketserver.ThreadingTCPServer):
         except Exception as exc:  # noqa: BLE001 - every failure goes on the wire
             return {"ok": False, "error": _error_name(exc),
                     "message": str(exc)}
+
+    def _checkpoint(self, message: dict) -> str | None:
+        """A request's ``checkpoint``, passed on only if it names a file in
+        the default checkpoint's directory (see the module docstring)."""
+        if "checkpoint" not in message:
+            return None
+        value = message["checkpoint"]
+        if not isinstance(value, str):
+            raise ValueError(f"checkpoint must be a string, got {value!r}")
+        if self._checkpoint_dir is None:
+            raise ValueError(
+                "checkpoint: this server has no default checkpoint, so it "
+                "serves no other"
+            )
+        try:
+            path = Path(value)
+            if not path.exists() and path.suffix != ".npz":
+                path = path.with_suffix(path.suffix + ".npz")
+            resolved = path.resolve()
+            allowed = (resolved.parent == self._checkpoint_dir
+                       and resolved.is_file())
+        except (OSError, ValueError, RuntimeError):
+            # NUL bytes, over-long names, symlink loops.
+            allowed = False
+        if not allowed:
+            raise ValueError(
+                f"checkpoint {value!r} is not a file in the directory of "
+                "the served checkpoint"
+            )
+        return value
 
     def count_request(self) -> bool:
         """Count one served request; True when the lifetime budget is spent.

@@ -86,8 +86,9 @@ def per_molecule_scores(matrices: np.ndarray) -> dict[str, np.ndarray]:
 class GenerationService:
     """Micro-batching sample/encode/score service over warm checkpoints.
 
-    ``default_checkpoint`` (optional) is loaded eagerly and used whenever
-    a call does not name its own.  ``max_batch`` / ``max_queue`` /
+    ``default_checkpoint`` (optional) is loaded eagerly, kept as
+    ``default_entry`` (None without one) and used whenever a call does not
+    name its own.  ``max_batch`` / ``max_queue`` /
     ``default_timeout`` parameterize the
     :class:`~repro.serving.batcher.MicroBatcher`, whose worker runs each
     batch as soon as it is free: requests that queue up while a batch
@@ -99,7 +100,7 @@ class GenerationService:
                  max_batch: int = 64, max_queue: int = 256,
                  default_timeout: float | None = 30.0):
         self.registry = registry if registry is not None else ModelRegistry()
-        self._default_entry = (
+        self.default_entry = (
             self.registry.load(default_checkpoint)
             if default_checkpoint is not None else None
         )
@@ -171,12 +172,12 @@ class GenerationService:
     def _entry(self, checkpoint: str | Path | None) -> ModelEntry:
         if checkpoint is not None:
             return self.registry.load(checkpoint)
-        if self._default_entry is None:
+        if self.default_entry is None:
             raise ServingError(
                 "no checkpoint named and the service has no default; pass "
                 "checkpoint= or construct with default_checkpoint="
             )
-        return self._default_entry
+        return self.default_entry
 
     def _sample_request(self, count: int, seed: int,
                         checkpoint: str | Path | None):

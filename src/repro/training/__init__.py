@@ -7,7 +7,6 @@ from .trainer import (
     PAPER_QUANTUM_LR,
     TrainConfig,
     Trainer,
-    clip_grad_norm,
     evaluate_reconstruction,
 )
 
@@ -18,7 +17,6 @@ __all__ = [
     "autoencoder_loss",
     "TrainConfig",
     "Trainer",
-    "clip_grad_norm",
     "evaluate_reconstruction",
     "PAPER_QUANTUM_LR",
     "PAPER_CLASSICAL_LR",

@@ -4,8 +4,7 @@ The paper reports "Train MSE Loss" throughout, i.e. the reconstruction term
 is mean squared error; variational models add the KL divergence to the
 standard-normal prior (negative ELBO with a Gaussian decoder).  The KL term
 is normalized by feature count so reconstruction and regularization stay on
-comparable scales across the 64- and 1024-dimensional experiments; ``beta``
-rescales it on top (beta = 1 is the plain ELBO up to that normalization).
+comparable scales across the 64- and 1024-dimensional experiments.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ class LossTerms:
 
 
 def autoencoder_loss(
-    output: AutoencoderOutput, target: Tensor, beta: float = 1.0
+    output: AutoencoderOutput, target: Tensor
 ) -> tuple[Tensor, LossTerms]:
     """MSE reconstruction plus (for variational outputs) the KL term.
 
@@ -39,6 +38,6 @@ def autoencoder_loss(
     if output.mu is not None and output.logvar is not None:
         n_features = target.shape[-1]
         kl = F.gaussian_kl(output.mu, output.logvar) * (1.0 / n_features)
-        total = recon + kl * beta
+        total = recon + kl
         return total, LossTerms(total.item(), recon.item(), kl.item())
     return recon, LossTerms(recon.item(), recon.item(), 0.0)

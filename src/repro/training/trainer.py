@@ -6,62 +6,29 @@ learning rate 0.001 for the depth study, and — after the Fig. 7 ablation —
 for classical weights.  :class:`TrainConfig` exposes exactly those knobs.
 
 :class:`Trainer` is the one training loop: per batch a forward pass, the
-loss, one backward walk, optional global-norm clipping and one optimizer
-step; per epoch the test loss, the scheduler, early stopping and the
-history record.
+loss, one backward walk and one optimizer step; per epoch the test loss and
+the history record.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ..data.loader import ArrayDataset, DataLoader
 from ..models.base import Autoencoder
-from ..nn.optim import Optimizer, heterogeneous_adam
+from ..nn.optim import heterogeneous_adam
 from ..nn.precision import resolve_precision, use_precision
-from ..nn.schedulers import LRScheduler
 from ..nn.tensor import Tensor, no_grad
 from .history import EpochRecord, History
 from .losses import autoencoder_loss
 
-__all__ = ["TrainConfig", "Trainer", "evaluate_reconstruction",
-           "clip_grad_norm"]
+__all__ = ["TrainConfig", "Trainer", "evaluate_reconstruction"]
 
 PAPER_QUANTUM_LR = 0.03
 PAPER_CLASSICAL_LR = 0.01
-
-
-def clip_grad_norm(parameters, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clipping norm (torch semantics).  Parameters without
-    gradients are skipped; a norm *exactly* at ``max_norm`` is left
-    untouched.  Scaling happens in place (``out=p.grad``) — one steady
-    buffer per parameter instead of a fresh allocation per clipped step.
-
-    The squared temporaries are forced into C order before summing:
-    ``.sum()`` reduces in *memory* order, so an F-ordered gradient (a
-    matmul VJP is often a transposed view) would otherwise round its
-    pairwise sum differently from a C-ordered copy of the same values —
-    the norm must not depend on gradient memory layout.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    params = [p for p in parameters if p.grad is not None]
-    if not params:
-        return 0.0
-    total = float(np.sqrt(sum(
-        float(np.multiply(p.grad, p.grad, order="C").sum()) for p in params
-    )))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for param in params:
-            np.multiply(param.grad, scale, out=param.grad)
-    return total
 
 
 @dataclass
@@ -72,22 +39,12 @@ class TrainConfig:
     batch_size: int = 32
     quantum_lr: float = 0.001
     classical_lr: float = 0.001
-    beta: float = 1.0  # KL weight (variational models only)
     seed: int = 0
-    shuffle: bool = True
-    max_grad_norm: float | None = None  # global-norm gradient clipping
-    early_stop_patience: int | None = None  # epochs without test improvement
     # Precision policy for the whole run (None = active policy, float64 by
     # default).  "float32" casts every batch to single precision and scopes
     # the policy over the loop, so gradients/optimizer state follow too —
     # pair with a model built with the same dtype to train fully in float32.
     precision: str | None = None
-    # Learning-rate schedule: a factory called once with the optimizer
-    # (e.g. ``lambda opt: StepLR(opt, step_size=5, gamma=0.5)``) and
-    # stepped once per epoch.  Schedulers rescale every parameter group
-    # relative to its initial lr, so the paper's heterogeneous
-    # quantum/classical ratio is preserved across the decay.
-    scheduler: Callable[[Optimizer], LRScheduler] | None = None
 
     @classmethod
     def paper_sq(cls, epochs: int = 20, seed: int = 0) -> "TrainConfig":
@@ -110,11 +67,6 @@ class Trainer:
         self.optimizer = heterogeneous_adam(
             model, quantum_lr=config.quantum_lr, classical_lr=config.classical_lr
         )
-        self.scheduler = (
-            config.scheduler(self.optimizer)
-            if config.scheduler is not None
-            else None
-        )
 
     def fit(
         self,
@@ -136,18 +88,10 @@ class Trainer:
         test_data: ArrayDataset | None = None,
     ) -> History:
         config = self.config
-        # The patience counter only ever advances on test losses; without
-        # test data it was silently ignored and training ran every epoch.
-        if config.early_stop_patience is not None and test_data is None:
-            raise ValueError(
-                f"early_stop_patience={config.early_stop_patience} requires "
-                "test_data: the patience counter advances on per-epoch test "
-                "losses, so without a test set it would silently never stop"
-            )
         loader = DataLoader(
             train_data,
             batch_size=config.batch_size,
-            shuffle=config.shuffle,
+            shuffle=True,
             seed=config.seed,
         )
         # An empty loader used to surface as a bare ZeroDivisionError from
@@ -160,8 +104,6 @@ class Trainer:
             )
         real = self.precision.real
         history = History()
-        best_test = float("inf")
-        epochs_since_best = 0
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
             epoch_total = epoch_recon = epoch_kl = 0.0
@@ -170,13 +112,8 @@ class Trainer:
             for batch in loader:
                 self.optimizer.zero_grad()
                 output = self.model(Tensor(batch, dtype=real))
-                loss, terms = autoencoder_loss(
-                    output, Tensor(batch, dtype=real), beta=config.beta
-                )
+                loss, terms = autoencoder_loss(output, Tensor(batch, dtype=real))
                 loss.backward()
-                if config.max_grad_norm is not None:
-                    clip_grad_norm(self.model.parameters(),
-                                   config.max_grad_norm)
                 self.optimizer.step()
                 epoch_total += terms.total
                 epoch_recon += terms.reconstruction
@@ -194,19 +131,6 @@ class Trainer:
                 record.test_reconstruction = record.test_loss
             record.seconds = time.perf_counter() - started
             history.append(record)
-            if self.scheduler is not None:
-                self.scheduler.step()
-            if (
-                config.early_stop_patience is not None
-                and record.test_loss is not None
-            ):
-                if record.test_loss < best_test - 1e-12:
-                    best_test = record.test_loss
-                    epochs_since_best = 0
-                else:
-                    epochs_since_best += 1
-                    if epochs_since_best >= config.early_stop_patience:
-                        break
         return history
 
     def evaluate(self, data: ArrayDataset) -> float:

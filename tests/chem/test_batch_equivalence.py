@@ -35,7 +35,6 @@ from repro.chem import (
 from repro.chem.batch import (
     MoleculeBatch,
     crippen_logp_batch,
-    descriptor_matrix_batch,
     hydrogen_bond_acceptors_batch,
     hydrogen_bond_donors_batch,
     molecular_weight_batch,
@@ -46,15 +45,6 @@ from repro.chem.batch import (
     tpsa_batch,
     unique_fraction,
     valid_mask,
-)
-from repro.chem.fingerprints import (
-    bulk_tanimoto,
-    morgan_fingerprint,
-    morgan_fingerprints,
-    nearest_neighbor_similarity,
-    nearest_neighbor_similarity_reference,
-    novelty,
-    tanimoto_matrix,
 )
 from repro.chem.metrics import (
     normalized_logp_batch,
@@ -194,14 +184,6 @@ class TestScorerEquivalence:
         self.check(lambda m: normalized_sa_batch(m, table),
                    lambda m: normalized_sa(m, table))
 
-    def test_descriptor_matrix(self):
-        from repro.evaluation.distribution import descriptor_matrix_reference
-
-        for mols in self.batches():
-            got = descriptor_matrix_batch(mols)
-            assert got.shape == (len(mols), 9)
-            assert got.tolist() == descriptor_matrix_reference(mols).tolist()
-
     def test_valid_mask(self):
         for mols in self.batches():
             assert valid_mask(MoleculeBatch.from_molecules(mols)).tolist() \
@@ -220,62 +202,6 @@ class TestScorerEquivalence:
                 continue
             assert unique_fraction(MoleculeBatch.from_molecules(mols)) \
                 == uniqueness(mols)
-
-
-class TestFingerprintEquivalence:
-    def test_bulk_fingerprints_match_scalar(self):
-        mols = seeded_molecules(seed=23, n=40)
-        fps = morgan_fingerprints(mols)
-        assert fps.shape == (len(mols), 1024)
-        for row, m in zip(fps, mols):
-            assert row.tolist() == morgan_fingerprint(m).tolist()
-
-    def test_bulk_fingerprints_other_widths(self):
-        mols = seeded_molecules(seed=5, n=12)
-        for n_bits, radius in ((64, 1), (256, 3)):
-            fps = morgan_fingerprints(mols, n_bits=n_bits, radius=radius)
-            for row, m in zip(fps, mols):
-                assert row.tolist() == morgan_fingerprint(
-                    m, n_bits=n_bits, radius=radius
-                ).tolist()
-        with pytest.raises(ValueError):
-            morgan_fingerprints(mols, n_bits=4)
-
-    def test_tanimoto_matrix_matches_bulk_tanimoto(self):
-        generated = seeded_molecules(seed=31, n=20)
-        reference = seeded_molecules(seed=37, n=16)
-        gen_fps = morgan_fingerprints(generated)
-        ref_fps = morgan_fingerprints(reference)
-        matrix = tanimoto_matrix(gen_fps, ref_fps)
-        assert matrix.shape == (len(generated), len(reference))
-        for i, fp in enumerate(gen_fps):
-            assert matrix[i].tolist() == bulk_tanimoto(fp, ref_fps).tolist()
-
-    def test_nearest_neighbor_similarity_matches_reference(self):
-        generated = seeded_molecules(seed=41, n=24)
-        reference = seeded_molecules(seed=43, n=18)
-        got = nearest_neighbor_similarity(generated, reference)
-        expected = nearest_neighbor_similarity_reference(generated, reference)
-        assert got.tolist() == expected.tolist()
-
-    def test_precomputed_reference_fingerprints(self):
-        generated = seeded_molecules(seed=47, n=10)
-        reference = seeded_molecules(seed=53, n=10)
-        ref_fps = morgan_fingerprints(reference)
-        assert novelty(generated, reference) == novelty(
-            generated, reference_fingerprints=ref_fps
-        )
-
-    def test_empty_generated(self):
-        reference = seeded_molecules(seed=59, n=4)
-        assert nearest_neighbor_similarity([], reference).shape == (0,)
-
-    def test_empty_reference_rejected(self):
-        generated = seeded_molecules(seed=61, n=4)
-        with pytest.raises(ValueError):
-            nearest_neighbor_similarity(generated)
-        with pytest.raises(ValueError):
-            nearest_neighbor_similarity(generated, [])
 
 
 class TestSetScoring:

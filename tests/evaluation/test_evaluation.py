@@ -1,4 +1,4 @@
-"""Tests for reconstruction metrics, sampling pipeline, and visualization."""
+"""Tests for reconstruction panels, the sampling pipeline, and visualization."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,14 @@ import pytest
 from repro.data import ArrayDataset, load_qm9
 from repro.evaluation import (
     ascii_image,
-    per_sample_mse,
     reconstruct_samples,
-    reconstruction_report,
     render_molecule_matrix,
-    sample_and_score,
+    sample_batch,
     sample_matrices,
-    sample_molecules,
     side_by_side,
 )
 from repro.models import ClassicalVAE
-from repro.chem import encode_molecule, from_smiles
+from repro.chem import encode_molecule, from_smiles, score_molecules
 
 
 def tiny_vae(input_dim=64):
@@ -25,12 +22,6 @@ def tiny_vae(input_dim=64):
 
 
 class TestReconstruction:
-    def test_per_sample_mse_shape(self):
-        model = tiny_vae()
-        errors = per_sample_mse(model, np.zeros((5, 64)))
-        assert errors.shape == (5,)
-        assert (errors >= 0).all()
-
     def test_reconstruct_samples(self):
         model = tiny_vae()
         data = ArrayDataset(np.random.default_rng(1).normal(size=(20, 64)))
@@ -44,13 +35,6 @@ class TestReconstruction:
         originals, __ = reconstruct_samples(model, data, n_samples=10)
         assert originals.shape[0] == 2
 
-    def test_report_keys(self):
-        model = tiny_vae()
-        data = ArrayDataset(np.random.default_rng(3).normal(size=(10, 64)))
-        report = reconstruction_report(model, data)
-        assert set(report) == {"mean_mse", "median_mse", "worst_mse", "best_mse"}
-        assert report["best_mse"] <= report["mean_mse"] <= report["worst_mse"]
-
 
 class TestSampling:
     def test_sample_matrices_shape(self):
@@ -63,14 +47,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_matrices(model, 2, np.random.default_rng(0))
 
-    def test_sample_molecules(self):
+    def test_sample_batch(self):
         model = tiny_vae()
-        mols = sample_molecules(model, 5, np.random.default_rng(1))
-        assert len(mols) == 5
+        batch = sample_batch(model, 5, np.random.default_rng(1))
+        assert len(batch) == 5
+        assert len(batch.molecules) == 5
 
-    def test_sample_and_score_ranges(self):
+    def test_sampled_set_score_ranges(self):
         model = tiny_vae()
-        scores = sample_and_score(model, 20, np.random.default_rng(2))
+        scores = score_molecules(
+            sample_batch(model, 20, np.random.default_rng(2)), correct=True)
         assert scores.n_total == 20
         assert 0.0 <= scores.qed <= 1.0
         assert 0.0 <= scores.logp <= 1.0
@@ -91,7 +77,8 @@ class TestSampling:
         model = ClassicalVAE(input_dim=64, latent_dim=6, rng=np.random.default_rng(4))
         Trainer(model, TrainConfig(epochs=8, batch_size=16,
                                    classical_lr=0.01)).fit(data)
-        scores = sample_and_score(model, 30, np.random.default_rng(5))
+        scores = score_molecules(
+            sample_batch(model, 30, np.random.default_rng(5)), correct=True)
         assert scores.n_scored >= 15  # most samples decode to usable graphs
 
 

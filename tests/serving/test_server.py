@@ -25,15 +25,19 @@ ERROR_NAMES = {"queue_full", "request_timeout", "service_closed",
                "bad_request", "error"}
 
 
+def _vae_file(path, seed):
+    return save_module(
+        ClassicalVAE(input_dim=64, latent_dim=6,
+                     rng=np.random.default_rng(seed)),
+        path,
+        metadata={"model": "vae", "input_dim": 64, "n_patches": 4,
+                  "n_layers": 3, "latent_dim": 6, "seed": seed},
+    )
+
+
 @pytest.fixture(scope="module")
 def vae_checkpoint(tmp_path_factory):
-    model = ClassicalVAE(input_dim=64, latent_dim=6,
-                         rng=np.random.default_rng(0))
-    return save_module(
-        model, tmp_path_factory.mktemp("srv") / "vae",
-        metadata={"model": "vae", "input_dim": 64, "n_patches": 4,
-                  "n_layers": 3, "latent_dim": 6, "seed": 0},
-    )
+    return _vae_file(tmp_path_factory.mktemp("srv") / "vae", 0)
 
 
 @pytest.fixture()
@@ -331,6 +335,202 @@ class TestWireErrors:
             thread.join(timeout=5.0)
 
 
+@pytest.fixture(scope="module")
+def checkpoint_tree(tmp_path_factory):
+    """``served/`` holds the default and a sibling; the rest lies outside.
+
+    ``served/link.npz`` is a symlink to ``elsewhere/other.npz``,
+    ``served/loop.npz`` a symlink to itself, and ``elsewhere/secret.txt``
+    stands in for any readable non-checkpoint.
+    """
+    root = tmp_path_factory.mktemp("tree")
+    (root / "served" / "sub").mkdir(parents=True)
+    (root / "elsewhere").mkdir()
+    paths = {
+        "default": _vae_file(root / "served" / "sq", 0),
+        "sibling": _vae_file(root / "served" / "other", 1),
+        "nested": _vae_file(root / "served" / "sub" / "deep", 2),
+        "outside": _vae_file(root / "elsewhere" / "other", 3),
+    }
+    (root / "elsewhere" / "secret.txt").write_text("not a checkpoint\n")
+    paths["secret"] = root / "elsewhere" / "secret.txt"
+    paths["link"] = root / "served" / "link.npz"
+    paths["link"].symlink_to(paths["outside"])
+    (root / "served" / "loop.npz").symlink_to("loop.npz")
+    paths["root"] = root
+    return paths
+
+
+@pytest.fixture()
+def tree_server(checkpoint_tree, monkeypatch):
+    """An unsocketed server on ``served/sq.npz`` that records every
+    checkpoint its registry is asked to open."""
+    service = GenerationService(default_checkpoint=checkpoint_tree["default"])
+    srv = GenerationServer(("127.0.0.1", 0), service)
+    opened = []
+    load = service.registry.load
+
+    def recording_load(checkpoint):
+        opened.append(checkpoint)
+        return load(checkpoint)
+
+    monkeypatch.setattr(service.registry, "load", recording_load)
+    srv.opened = opened
+    try:
+        yield srv
+    finally:
+        srv.server_close()
+        service.close()
+
+
+def _escapes(tree):
+    """Wire ``checkpoint`` values the server must refuse, by case name."""
+    served = tree["root"] / "served"
+    return {
+        "outside_directory": str(tree["outside"]),
+        "readable_non_checkpoint": str(tree["secret"]),
+        "dotdot_escape": str(served / ".." / "elsewhere" / "other.npz"),
+        "symlink_escape": str(tree["link"]),
+        "subdirectory": str(served / "sub" / "deep.npz"),
+        "the_directory_itself": str(served),
+        "missing_in_directory": str(served / "missing.npz"),
+        "nul_byte": str(served / "sq\x00.npz"),
+        "symlink_loop": str(served / "loop.npz"),
+        "overlong_name": str(served / ("x" * 5000)),
+    }
+
+
+ESCAPE_CASES = ["outside_directory", "readable_non_checkpoint",
+                "dotdot_escape", "symlink_escape", "subdirectory",
+                "the_directory_itself", "missing_in_directory", "nul_byte",
+                "symlink_loop", "overlong_name"]
+
+
+class TestWireCheckpoint:
+    """A wire ``checkpoint`` names a file beside the default, or nothing.
+
+    Each escape used to be served: another directory's checkpoint loaded
+    into the registry, ``/etc/hostname``-like files reached ``np.load``,
+    and a missing file answered ``"error": "error"``.
+    """
+
+    @pytest.mark.parametrize("case", ESCAPE_CASES)
+    @pytest.mark.parametrize("kind", ["sample", "encode"])
+    def test_escape_is_refused_before_any_file_opens(
+            self, tree_server, checkpoint_tree, kind, case):
+        message = {"kind": kind, "checkpoint": _escapes(checkpoint_tree)[case]}
+        if kind == "sample":
+            message["count"] = 2
+        else:
+            message["features"] = np.ones((1, 64)).tolist()
+        response = json.loads(tree_server.respond(json.dumps(message).encode()))
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+        assert response["message"].startswith("checkpoint ")
+        assert tree_server.opened == []
+        assert len(tree_server.service.registry) == 1
+
+    @pytest.mark.parametrize("value", [5, None, True, ["a.npz"],
+                                       {"path": "a.npz"}],
+                             ids=["int", "null", "bool", "list", "object"])
+    def test_non_string_is_refused(self, tree_server, value):
+        response = tree_server.dispatch(
+            {"kind": "encode", "features": np.ones((1, 64)).tolist(),
+             "checkpoint": value})
+        assert response == {
+            "ok": False, "error": "bad_request",
+            "message": f"checkpoint must be a string, got {value!r}",
+        }
+        assert tree_server.opened == []
+
+    @pytest.mark.parametrize("spelling", ["absolute", "relative",
+                                          "no_suffix"])
+    def test_sibling_in_the_directory_is_served(
+            self, tree_server, checkpoint_tree, monkeypatch, spelling):
+        monkeypatch.chdir(checkpoint_tree["root"])
+        value = {"absolute": str(checkpoint_tree["sibling"]),
+                 "relative": "served/other.npz",
+                 "no_suffix": "served/other"}[spelling]
+        features = np.random.default_rng(4).normal(size=(2, 64))
+        response = tree_server.dispatch(
+            {"kind": "encode", "features": features.tolist(),
+             "checkpoint": value})
+        assert response["ok"] is True
+        assert tree_server.opened == [value]
+        assert len(tree_server.service.registry) == 2
+        expected = tree_server.service.encode(
+            features, checkpoint=checkpoint_tree["sibling"])
+        assert (np.asarray(response["latents"]) == expected).all()
+        sampled = tree_server.dispatch(
+            {"kind": "sample", "count": 3, "seed": 2, "checkpoint": value})
+        assert (np.asarray(sampled["matrices"]) == tree_server.service.sample(
+            3, seed=2, checkpoint=checkpoint_tree["sibling"])).all()
+
+    def test_default_named_explicitly_is_served(self, tree_server,
+                                                checkpoint_tree):
+        response = tree_server.dispatch(
+            {"kind": "sample", "count": 2, "seed": 5,
+             "checkpoint": str(checkpoint_tree["default"])})
+        assert (np.asarray(response["matrices"])
+                == tree_server.service.sample(2, seed=5)).all()
+        assert len(tree_server.service.registry) == 1
+
+    def test_server_without_default_refuses_every_checkpoint(
+            self, checkpoint_tree):
+        service = GenerationService()
+        srv = GenerationServer(("127.0.0.1", 0), service)
+        try:
+            response = srv.dispatch(
+                {"kind": "sample", "count": 2,
+                 "checkpoint": str(checkpoint_tree["default"])})
+            assert response["ok"] is False
+            assert response["error"] == "bad_request"
+            assert response["message"].startswith("checkpoint: ")
+            assert len(service.registry) == 0
+        finally:
+            srv.server_close()
+            service.close()
+
+    def test_in_process_api_is_not_confined(self, tree_server,
+                                            checkpoint_tree):
+        latents = tree_server.service.encode(
+            np.ones((1, 64)), checkpoint=checkpoint_tree["outside"])
+        assert latents.shape == (1, 6)
+
+    def test_live_socket(self, checkpoint_tree):
+        service = GenerationService(
+            default_checkpoint=checkpoint_tree["default"])
+        srv = GenerationServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=srv.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        escapes = _escapes(checkpoint_tree)
+        try:
+            with client_for(srv) as client:
+                for case in ESCAPE_CASES + ["non_string"]:
+                    value = escapes.get(case, 7)
+                    line = json.dumps({"kind": "sample", "count": 2,
+                                       "checkpoint": value}).encode()
+                    response = raw_reply(client, line + b"\n")
+                    assert response["ok"] is False, case
+                    assert response["error"] == "bad_request", case
+                    assert response["message"].startswith("checkpoint"), case
+                    assert client.ping()  # the connection stays open
+                line = json.dumps({"kind": "sample", "count": 2, "seed": 1,
+                                   "checkpoint": str(
+                                       checkpoint_tree["sibling"])}).encode()
+                response = raw_reply(client, line + b"\n")
+                assert response["ok"] is True
+                assert (np.asarray(response["matrices"]) == service.sample(
+                    2, seed=1, checkpoint=checkpoint_tree["sibling"])).all()
+            assert len(service.registry) == 2
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            service.close()
+            thread.join(timeout=5.0)
+
+
 def assert_one_reply(reply: bytes) -> None:
     """One JSON object on one line, with a boolean ``ok`` and, on failure,
     one of the documented error names."""
@@ -356,7 +556,7 @@ REQUESTS = st.fixed_dictionaries(
      | JSON_VALUES},
     optional={"count": st.integers(-3, MAX_SAMPLE_COUNT + 3) | JSON_VALUES,
               "seed": JSON_VALUES, "features": JSON_VALUES,
-              "matrices": JSON_VALUES},
+              "matrices": JSON_VALUES, "checkpoint": JSON_VALUES},
 )
 
 

@@ -11,13 +11,13 @@ from repro.chem import (
     decode_molecule,
     discretize,
     is_valid,
-    novelty,
+    sanitize_batch,
     sanitize_lenient,
     score_molecules,
 )
 from repro.chem.sa import default_fragment_table
 from repro.data import load_pdbbind_ligands, load_qm9, train_test_split
-from repro.evaluation import distribution_report, sample_molecules
+from repro.evaluation import sample_batch
 from repro.models import (
     ClassicalVAE,
     FullyQuantumVAE,
@@ -84,36 +84,18 @@ class TestScalablePipelinePDBbind:
 
     def test_sampled_set_scores(self, setup):
         model, __, __, __ = setup
-        molecules = sample_molecules(model, 20, np.random.default_rng(1))
+        molecules = sample_batch(model, 20, np.random.default_rng(1))
         scores = score_molecules(molecules, table=default_fragment_table())
         assert scores.n_scored > 0
         assert 0 <= scores.qed <= 1
 
-    def test_sample_distribution_comparable_to_train(self, setup):
-        model, train, __, __ = setup
-        generated = [
-            sanitize_lenient(m)
-            for m in sample_molecules(model, 20, np.random.default_rng(2))
-        ]
-        generated = [m for m in generated if m.num_atoms > 1]
-        reference = [
-            decode_molecule(matrix) for matrix in train.raw[:20]
-        ]
-        report = distribution_report(reference, generated)
-        # Sanity: a barely-trained model is off by some distance, but the
-        # report must be finite and bounded.
-        assert np.isfinite(report.mean_normalized_distance)
-
-    def test_novelty_against_training_set(self, setup):
-        model, train, __, __ = setup
-        generated = [
-            sanitize_lenient(m)
-            for m in sample_molecules(model, 15, np.random.default_rng(3))
-        ]
-        generated = [m for m in generated if m.num_atoms > 1]
-        reference = [decode_molecule(matrix) for matrix in train.raw]
-        value = novelty(generated, reference)
-        assert 0.0 <= value <= 1.0
+    def test_sampled_set_sanitizes_to_valid_molecules(self, setup):
+        model, __, __, __ = setup
+        batch = sample_batch(model, 20, np.random.default_rng(2))
+        repaired = sanitize_batch(batch)
+        assert len(repaired) == 20
+        assert all(m.num_atoms == 0 or is_valid(m) for m in repaired)
+        assert any(m.num_atoms > 1 for m in repaired)
 
 
 class TestCheckpointWorkflow:

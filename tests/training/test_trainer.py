@@ -39,20 +39,10 @@ class TestLoss:
         mu = Tensor(np.ones((2, 3)))
         logvar = Tensor(np.zeros((2, 3)))
         out = AutoencoderOutput(recon, Tensor(np.zeros((2, 3))), mu, logvar)
-        loss, terms = autoencoder_loss(out, target, beta=1.0)
+        loss, terms = autoencoder_loss(out, target)
         # KL = 0.5 * sum(mu^2) = 1.5 per sample, normalized by 4 features.
         assert terms.kl == pytest.approx(1.5 / 4)
         assert loss.item() == pytest.approx(terms.kl)
-
-    def test_beta_scales_kl(self):
-        recon = Tensor(np.zeros((1, 4)))
-        mu = Tensor(np.ones((1, 2)))
-        logvar = Tensor(np.zeros((1, 2)))
-        out = AutoencoderOutput(recon, Tensor(np.zeros((1, 2))), mu, logvar)
-        loss1, __ = autoencoder_loss(out, Tensor(np.zeros((1, 4))), beta=1.0)
-        out2 = AutoencoderOutput(recon, Tensor(np.zeros((1, 2))), mu, logvar)
-        loss2, __ = autoencoder_loss(out2, Tensor(np.zeros((1, 4))), beta=2.0)
-        assert loss2.item() == pytest.approx(2 * loss1.item())
 
 
 class TestTrainer:

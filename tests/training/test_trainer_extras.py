@@ -1,98 +1,17 @@
-"""Tests for gradient clipping, early stopping, and dataset statistics."""
+"""Tests for dataset statistics, evaluation mode restore and empty loaders."""
 
 import numpy as np
 import pytest
 
 from repro.data import ArrayDataset, dataset_statistics, load_pdbbind_ligands, load_qm9
 from repro.models import ClassicalAE
-from repro.nn import Parameter
 from repro.training import TrainConfig, Trainer
-from repro.training.trainer import clip_grad_norm
 
 
 def toy_data(n=40, dim=16, seed=0):
     gen = np.random.default_rng(seed)
     base = gen.normal(size=(4, dim))
     return ArrayDataset(gen.normal(size=(n, 4)) @ base)
-
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self):
-        p = Parameter(np.zeros(3))
-        p.grad = np.array([0.1, 0.2, 0.2])
-        norm = clip_grad_norm([p], max_norm=1.0)
-        assert norm == pytest.approx(0.3)
-        np.testing.assert_allclose(p.grad, [0.1, 0.2, 0.2])
-
-    def test_clips_above_threshold(self):
-        p = Parameter(np.zeros(2))
-        p.grad = np.array([3.0, 4.0])  # norm 5
-        norm = clip_grad_norm([p], max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(np.linalg.norm(p.grad), 1.0, rtol=1e-6)
-
-    def test_global_norm_across_params(self):
-        a = Parameter(np.zeros(1))
-        b = Parameter(np.zeros(1))
-        a.grad = np.array([3.0])
-        b.grad = np.array([4.0])
-        clip_grad_norm([a, b], max_norm=1.0)
-        total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
-        assert total == pytest.approx(1.0, rel=1e-6)
-
-    def test_skips_gradless_params(self):
-        p = Parameter(np.zeros(2))
-        assert clip_grad_norm([p], max_norm=1.0) == 0.0
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], max_norm=0.0)
-
-
-class TestTrainerExtras:
-    def test_clipping_config_trains(self):
-        data = toy_data()
-        model = ClassicalAE(input_dim=16, latent_dim=4, hidden_dims=(8,),
-                            rng=np.random.default_rng(0))
-        config = TrainConfig(epochs=5, batch_size=8, classical_lr=0.01,
-                             max_grad_norm=0.5)
-        history = Trainer(model, config).fit(data)
-        assert history.train_losses[-1] < history.train_losses[0]
-
-    def test_early_stopping_halts(self):
-        train = toy_data(seed=1)
-        test = toy_data(seed=2)
-
-        class Frozen(ClassicalAE):
-            """Test-loss plateau by construction: encode/decode constants."""
-
-            def decode(self, z):
-                return super().decode(z) * 0.0
-
-        model = Frozen(input_dim=16, latent_dim=4, hidden_dims=(8,),
-                       rng=np.random.default_rng(3))
-        config = TrainConfig(epochs=50, batch_size=8,
-                             early_stop_patience=3)
-        history = Trainer(model, config).fit(train, test_data=test)
-        assert len(history.epochs) < 50
-
-    def test_early_stopping_needs_test_data(self):
-        # Patience without test data used to be silently inert (the run
-        # trained every epoch); now it is a clear configuration error.
-        data = toy_data(seed=3)
-        model = ClassicalAE(input_dim=16, latent_dim=4, hidden_dims=(8,),
-                            rng=np.random.default_rng(4))
-        config = TrainConfig(epochs=3, batch_size=8, early_stop_patience=1)
-        with pytest.raises(ValueError, match="early_stop_patience=1 requires"):
-            Trainer(model, config).fit(data)
-
-    def test_early_stopping_with_test_data_still_runs(self):
-        data = toy_data(seed=3)
-        model = ClassicalAE(input_dim=16, latent_dim=4, hidden_dims=(8,),
-                            rng=np.random.default_rng(4))
-        config = TrainConfig(epochs=3, batch_size=8, early_stop_patience=5)
-        history = Trainer(model, config).fit(data, test_data=toy_data(seed=9))
-        assert len(history.epochs) == 3
 
 
 class TestDatasetStatistics:
@@ -190,56 +109,3 @@ class TestEmptyLoaderValidation:
         trainer = Trainer(model, config)
         with pytest.raises(ValueError, match="no batches"):
             trainer.fit(ArrayDataset(np.zeros((0, 16))))
-
-
-class TestSchedulerWiring:
-    def _fit(self, scheduler_factory, epochs=4):
-        data = toy_data(n=24)
-        model = ClassicalAE(input_dim=16, latent_dim=4, hidden_dims=(8,),
-                            rng=np.random.default_rng(0))
-        config = TrainConfig(
-            epochs=epochs, batch_size=8, quantum_lr=0.03, classical_lr=0.01,
-            scheduler=scheduler_factory,
-        )
-        trainer = Trainer(model, config)
-        trainer.fit(data)
-        return trainer
-
-    def test_scheduler_steps_once_per_epoch(self):
-        from repro.nn.schedulers import ExponentialLR
-
-        trainer = self._fit(lambda opt: ExponentialLR(opt, gamma=0.5),
-                            epochs=3)
-        assert trainer.scheduler.last_epoch == 3
-        for group, base in zip(trainer.optimizer.param_groups,
-                               trainer.scheduler.base_lrs):
-            assert group["lr"] == pytest.approx(base * 0.5**3)
-
-    def test_heterogeneous_ratio_preserved_across_decay(self):
-        # The paper's 0.03 / 0.01 quantum-vs-classical split must survive
-        # the schedule: both groups decay by the same factor each epoch.
-        from repro.models import ScalableQuantumAE
-        from repro.nn.schedulers import StepLR
-
-        rng = np.random.default_rng(0)
-        model = ScalableQuantumAE(input_dim=16, n_patches=2, n_layers=1,
-                                  rng=rng)
-        config = TrainConfig(
-            epochs=2, batch_size=4, quantum_lr=0.03, classical_lr=0.01,
-            scheduler=lambda opt: StepLR(opt, step_size=1, gamma=0.1),
-        )
-        trainer = Trainer(model, config)
-        groups = trainer.optimizer.param_groups
-        assert groups[0]["lr"] / groups[1]["lr"] == pytest.approx(3.0)
-        data = ArrayDataset(np.abs(rng.normal(size=(8, 16))) + 0.01)
-        trainer.fit(data)
-        lrs = trainer.scheduler.current_lrs()
-        assert lrs[0] == pytest.approx(0.03 * 0.01)  # two decade steps
-        assert lrs[1] == pytest.approx(0.01 * 0.01)
-        assert lrs[0] / lrs[1] == pytest.approx(3.0)
-
-    def test_no_scheduler_keeps_constant_lrs(self):
-        trainer = self._fit(None, epochs=2)
-        assert trainer.scheduler is None
-        lrs = [g["lr"] for g in trainer.optimizer.param_groups]
-        assert lrs == [0.01]  # classical-only model, untouched lr

@@ -1,16 +1,16 @@
-"""Tests for the training loop: per-epoch control, records, clipping."""
+"""Tests for the training loop: its configuration surface and records."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.data import ArrayDataset
 from repro.models import build_model
-from repro.nn import Parameter
-from repro.nn.schedulers import StepLR
 from repro.training import (
     TrainConfig,
     Trainer,
-    clip_grad_norm,
+    autoencoder_loss,
     evaluate_reconstruction,
 )
 
@@ -27,35 +27,32 @@ def make_model(seed=3, dim=16, dtype=None):
 
 
 class TestTrainerSideControl:
-    """Scheduler stepping and early stopping happen between epochs."""
+    """Nothing acts between batches or epochs: the loop has no scheduler,
+    early stop, clipping, KL weight or shuffle switch."""
 
-    def test_scheduler_steps_once_per_epoch_between_updates(self):
-        config = TrainConfig(
-            epochs=3, batch_size=8, classical_lr=0.01,
-            scheduler=lambda opt: StepLR(opt, step_size=1, gamma=0.5),
-        )
-        trainer = Trainer(make_model(), config)
-        seen = []
-        step = trainer.optimizer.step
+    def test_config_holds_six_fields(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "epochs", "batch_size", "quantum_lr", "classical_lr", "seed",
+            "precision"]
 
-        def recording_step():
-            seen.append(trainer.optimizer.param_groups[0]["lr"])
-            step()
+    @pytest.mark.parametrize("field", ["scheduler", "early_stop_patience",
+                                       "max_grad_norm", "beta", "shuffle"])
+    def test_removed_option_is_gone(self, field):
+        with pytest.raises(TypeError, match=field):
+            TrainConfig(epochs=1, **{field: None})
 
-        trainer.optimizer.step = recording_step
-        trainer.fit(toy_data(n=16))
-        assert seen == pytest.approx([0.01, 0.01, 0.005, 0.005,
-                                      0.0025, 0.0025])
+    def test_loss_has_no_kl_weight(self):
+        with pytest.raises(TypeError, match="beta"):
+            autoencoder_loss(None, None, beta=2.0)
 
-    def test_early_stopping_ends_a_fit_that_never_improves(self):
+    def test_every_epoch_runs_when_the_test_loss_is_flat(self):
         # Zero learning rates leave every parameter in place, so the test
-        # loss is flat from the first epoch on.
-        config = TrainConfig(epochs=10, batch_size=8, early_stop_patience=2,
-                             quantum_lr=0.0, classical_lr=0.0)
+        # loss never improves; nothing stops the fit early.
+        config = TrainConfig(epochs=4, batch_size=8, quantum_lr=0.0,
+                             classical_lr=0.0)
         history = Trainer(make_model(), config).fit(
             toy_data(n=16, seed=1), test_data=toy_data(n=8, seed=2))
-        # Epoch 1 sets the best test loss; epochs 2 and 3 fail to beat it.
-        assert len(history.epochs) == 3
+        assert len(history.epochs) == 4
         assert len({record.test_loss for record in history.epochs}) == 1
 
     def test_data_parallel_workers_option_is_gone(self):
@@ -78,41 +75,6 @@ class TestEpochRecords:
         assert len(history.epochs) == 2
         assert all(r.seconds is not None and r.seconds > 0
                    for r in history.epochs)
-
-
-class TestClipGradNormEdgeCases:
-    def test_all_grads_none_returns_zero(self):
-        params = [Parameter(np.zeros(3)), Parameter(np.zeros(2))]
-        assert clip_grad_norm(params, max_norm=1.0) == 0.0
-        assert all(p.grad is None for p in params)
-
-    def test_norm_exactly_at_max_is_untouched(self):
-        p = Parameter(np.zeros(2))
-        p.grad = np.array([3.0, 4.0])  # norm exactly 5.0
-        before = p.grad
-        norm = clip_grad_norm([p], max_norm=5.0)
-        assert norm == 5.0
-        assert p.grad is before
-        np.testing.assert_array_equal(p.grad, [3.0, 4.0])
-
-    def test_scales_in_place(self):
-        p = Parameter(np.zeros(2))
-        p.grad = np.array([3.0, 4.0])
-        buffer = p.grad
-        clip_grad_norm([p], max_norm=1.0)
-        assert p.grad is buffer  # no rebinding, no fresh allocation
-        np.testing.assert_allclose(np.linalg.norm(p.grad), 1.0, rtol=1e-6)
-
-    def test_norm_is_independent_of_gradient_memory_layout(self):
-        gen = np.random.default_rng(0)
-        values = gen.normal(size=(64, 48))
-        c_param = Parameter(np.zeros_like(values))
-        f_param = Parameter(np.zeros_like(values))
-        c_param.grad = np.ascontiguousarray(values)
-        f_param.grad = np.asfortranarray(values)
-        norm_c = clip_grad_norm([c_param], max_norm=1e9)
-        norm_f = clip_grad_norm([f_param], max_norm=1e9)
-        assert norm_c == norm_f  # bitwise: sum order must not follow layout
 
 
 class TestEvaluatePrecisionScope:
