@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.chem import random_molecules, score_molecules
 from repro.models import ScalableQuantumAE
-from repro.nn import Tensor, functional as F
+from repro.nn import Adam, Linear, Tensor, functional as F
 from repro.qnn import PatchedQuantumLayer, amplitude_encoder_circuit, patch_qubits
 from repro.quantum import (
     Circuit,
@@ -331,6 +331,67 @@ def bench_sq_ae_training_step(benchmark):
 
     loss = benchmark(step)
     assert loss > 0
+
+
+# Adam steps per timed call.  One step takes ~3 ms, and on a shared host a
+# round that short is often all noise; ten make each round ~30 ms.
+_ADAM_STEPS = 10
+
+
+def _linear_with_gradients():
+    """The weight (1024 x 256) and bias of one Linear layer after one
+    backward: the weight's gradient arrives F-ordered, through the
+    transpose VJP, as it does for every MLP layer in training."""
+    rng = np.random.default_rng(5)
+    layer = Linear(256, 1024, rng=rng)
+    ((layer(Tensor(rng.normal(size=(32, 256)))) - 0.5) ** 2).mean().backward()
+    grad = layer.weight.grad
+    assert grad.shape == (1024, 256)
+    assert grad.flags.f_contiguous and not grad.flags.c_contiguous
+    return [layer.weight, layer.bias]
+
+
+def bench_adam_step_1024x256(benchmark):
+    """``_ADAM_STEPS`` in-place Adam steps (chunked ``out=`` ufuncs) on a
+    1024 x 256 weight and its bias."""
+    params = _linear_with_gradients()
+    optimizer = Adam(params, lr=0.01)
+    weight = params[0].data
+
+    def steps():
+        for __ in range(_ADAM_STEPS):
+            optimizer.step()
+
+    benchmark(steps)
+    assert params[0].data is weight
+
+
+def bench_adam_step_1024x256_naive(benchmark):
+    """The same steps through the allocating expression ``Adam.step`` ran
+    before it worked in place: 14 full-size temporaries per parameter."""
+    params = _linear_with_gradients()
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    moments = [[np.zeros_like(p.data), np.zeros_like(p.data)] for p in params]
+    t = 0
+
+    def step():
+        nonlocal t
+        t += 1
+        for param, state in zip(params, moments):
+            m = beta1 * state[0] + (1.0 - beta1) * param.grad
+            v = beta2 * state[1] + (1.0 - beta2) * param.grad**2
+            state[:] = m, v
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            param.data = (
+                param.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+            ).astype(param.data.dtype, copy=False)
+
+    def steps():
+        for __ in range(_ADAM_STEPS):
+            step()
+
+    benchmark(steps)
 
 
 def bench_molecule_scoring(benchmark):

@@ -19,7 +19,6 @@ from .descriptors import (
     aromatic_ring_count,
     hydrogen_bond_acceptors,
     hydrogen_bond_donors,
-    ring_count,
     rotatable_bonds,
     structural_alerts,
     tpsa,
@@ -94,7 +93,6 @@ __all__ = [
     "hydrogen_bond_acceptors",
     "hydrogen_bond_donors",
     "rotatable_bonds",
-    "ring_count",
     "aromatic_ring_count",
     "structural_alerts",
     "LOGP_RANGE",

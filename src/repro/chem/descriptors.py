@@ -19,7 +19,6 @@ __all__ = [
     "hydrogen_bond_donors",
     "rotatable_bonds",
     "aromatic_ring_count",
-    "ring_count",
     "tpsa",
     "structural_alerts",
     "ALERT_NAMES",
@@ -50,11 +49,6 @@ def rotatable_bonds(mol: Molecule) -> int:
         if mol.degree(i) >= 2 and mol.degree(j) >= 2:
             count += 1
     return count
-
-
-def ring_count(mol: Molecule) -> int:
-    """Number of rings in the minimum cycle basis (SSSR-like)."""
-    return len(mol.rings())
 
 
 def aromatic_ring_count(mol: Molecule) -> int:

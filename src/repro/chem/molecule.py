@@ -200,9 +200,6 @@ class Molecule:
         """
         return graphs.ring_bonds(self)
 
-    def atoms_in_rings(self) -> set[int]:
-        return {atom for ring in self.rings() for atom in ring}
-
     def subgraph(self, atoms: set[int]) -> "Molecule":
         """Induced submolecule with atoms re-indexed contiguously."""
         ordered = sorted(atoms)

@@ -144,6 +144,24 @@ def _positive_float(value: str) -> float:
     return number
 
 
+def _non_negative_float(value: str) -> float:
+    """argparse type for ``--quantum-lr`` and ``--classical-lr``.
+
+    ``nan`` and ``inf`` parse as floats, and a ``nan`` learning rate used
+    to train a checkpoint whose every parameter is NaN; a negative one
+    climbs the loss.  0 stays valid: it freezes that parameter family.
+    """
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not (math.isfinite(number) and number >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative finite number, got {value!r}"
+        )
+    return number
+
+
 def _port(value: str) -> int:
     """argparse type for a TCP port: an integer in 0-65535 (0 = any)."""
     try:
@@ -327,8 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     train.add_argument("--samples", type=_positive_int, default=96)
     train.add_argument("--epochs", type=_positive_int, default=4)
     train.add_argument("--batch-size", type=_positive_int, default=32)
-    train.add_argument("--quantum-lr", type=float, default=0.03)
-    train.add_argument("--classical-lr", type=float, default=0.01)
+    train.add_argument("--quantum-lr", type=_non_negative_float,
+                       default=0.03)
+    train.add_argument("--classical-lr", type=_non_negative_float,
+                       default=0.01)
     train.add_argument("--patches", type=_positive_int, default=4)
     train.add_argument("--layers", type=_non_negative_int, default=0,
                        help="entangling layers (0 = architecture default)")

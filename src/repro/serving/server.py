@@ -65,6 +65,23 @@ __all__ = ["GenerationServer", "MAX_LINE_BYTES"]
 MAX_LINE_BYTES = 32 * 2**20
 
 
+# Characters of a rejected value's repr that an error reply echoes.
+ECHO_CHARS = 80
+
+
+def _brief(value) -> str:
+    """``repr(value)`` for an error reply, cut to ``ECHO_CHARS`` characters
+    and the value's length when longer, so a reply never echoes a hostile
+    value whole."""
+    # A string is cut before its repr is built; the repr of any other JSON
+    # value is bounded by the line cap.
+    text = repr(value[:ECHO_CHARS] if isinstance(value, str) else value)
+    if len(text) <= ECHO_CHARS:
+        return text
+    length = len(value) if isinstance(value, (str, list, dict)) else len(text)
+    return f"{text[:ECHO_CHARS]}... (length {length})"
+
+
 def _required(message: dict, kind: str, name: str):
     """``message[name]``, or ``bad_request`` naming the kind and field."""
     try:
@@ -78,7 +95,9 @@ def _required(message: dict, kind: str, name: str):
 def _json_int(value, name: str) -> int:
     """``value`` if it is a JSON integer, else ``bad_request``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+        raise ValueError(
+            f"{name} must be a JSON integer, got {_brief(value)}"
+        )
     return value
 
 
@@ -199,7 +218,7 @@ class GenerationServer(socketserver.ThreadingTCPServer):
                     "logp": scores["logp"].tolist(),
                     "sa": scores["sa"].tolist(),
                 }
-            raise ValueError(f"unknown request kind {kind!r}")
+            raise ValueError(f"unknown request kind {_brief(kind)}")
         except Exception as exc:  # noqa: BLE001 - every failure goes on the wire
             return {"ok": False, "error": _error_name(exc),
                     "message": str(exc)}
@@ -211,7 +230,9 @@ class GenerationServer(socketserver.ThreadingTCPServer):
             return None
         value = message["checkpoint"]
         if not isinstance(value, str):
-            raise ValueError(f"checkpoint must be a string, got {value!r}")
+            raise ValueError(
+                f"checkpoint must be a string, got {_brief(value)}"
+            )
         if self._checkpoint_dir is None:
             raise ValueError(
                 "checkpoint: this server has no default checkpoint, so it "
@@ -229,8 +250,8 @@ class GenerationServer(socketserver.ThreadingTCPServer):
             allowed = False
         if not allowed:
             raise ValueError(
-                f"checkpoint {value!r} is not a file in the directory of "
-                "the served checkpoint"
+                f"checkpoint {_brief(value)} is not a file in the directory "
+                "of the served checkpoint"
             )
         return value
 

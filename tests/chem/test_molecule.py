@@ -142,12 +142,6 @@ class TestGraphQueries:
         assert len(ring) == 6
         assert (0, 6) not in ring
 
-    def test_atoms_in_rings(self):
-        mol = benzene()
-        mol.add_atom("C")
-        mol.add_bond(0, 6, 1.0)
-        assert mol.atoms_in_rings() == set(range(6))
-
     def test_subgraph_reindexes(self):
         mol = ethanol()
         sub = mol.subgraph({1, 2})

@@ -20,7 +20,6 @@ from repro.chem import (
     qed_properties,
     random_molecule,
     random_molecules,
-    ring_count,
     rotatable_bonds,
     sa_score,
     score_matrices,
@@ -115,10 +114,6 @@ class TestDescriptors:
 
     def test_rotatable_bonds_exclude_double(self):
         assert rotatable_bonds(mol_from("C=CC=C")) == 1
-
-    def test_ring_count(self):
-        assert ring_count(mol_from("C1CCCCC1")) == 1
-        assert ring_count(mol_from("CCCC")) == 0
 
     def test_aromatic_ring_count(self):
         benzene = _benzene()

@@ -531,6 +531,82 @@ class TestWireCheckpoint:
             thread.join(timeout=5.0)
 
 
+HUGE = "x" * 1_000_000
+
+
+class TestHostileValuesAreNotEchoed:
+    """An error reply echoes a rejected value as a short prefix and its
+    length.  Each of these lines used to come back whole: a 1 MB string
+    in a 1 MB reply, a 200,000-element list in a 600 KB one."""
+
+    def _assert_short_bad_request(self, server, message, field):
+        line = json.dumps(message).encode()
+        reply = server.respond(line)
+        assert_one_reply(reply)
+        assert len(reply) < 1024
+        response = json.loads(reply)
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+        assert response["message"].startswith(field)
+        return response["message"]
+
+    def test_count(self, unserved):
+        message = self._assert_short_bad_request(
+            unserved, {"kind": "sample", "count": HUGE}, "count")
+        assert message.endswith(f"... (length {len(HUGE)})")
+
+    def test_seed(self, unserved):
+        message = self._assert_short_bad_request(
+            unserved, {"kind": "sample", "count": 2, "seed": HUGE}, "seed")
+        assert message.endswith(f"... (length {len(HUGE)})")
+
+    def test_kind(self, unserved):
+        message = self._assert_short_bad_request(
+            unserved, {"kind": HUGE}, "unknown request kind")
+        assert message.endswith(f"... (length {len(HUGE)})")
+
+    @pytest.mark.parametrize("kind", ["sample", "encode"])
+    def test_checkpoint_string(self, tree_server, kind):
+        message = {"kind": kind, "checkpoint": HUGE}
+        if kind == "sample":
+            message["count"] = 2
+        else:
+            message["features"] = np.ones((1, 64)).tolist()
+        text = self._assert_short_bad_request(tree_server, message,
+                                              "checkpoint")
+        assert f"(length {len(HUGE)}) is not a file" in text
+        assert tree_server.opened == []
+
+    def test_checkpoint_list(self, tree_server):
+        value = list(range(200_000))
+        text = self._assert_short_bad_request(
+            tree_server, {"kind": "sample", "count": 2, "checkpoint": value},
+            "checkpoint")
+        assert text.startswith("checkpoint must be a string, got [0, 1, 2")
+        assert text.endswith(f"... (length {len(value)})")
+        assert tree_server.opened == []
+
+    @pytest.mark.parametrize("value", [
+        "s" * (server_module.ECHO_CHARS - 2),  # its repr fills the cap
+        ["a.npz"] * 8,
+        {"path": "a.npz"},
+    ], ids=["string_at_cap", "list", "object"])
+    def test_short_value_is_echoed_whole(self, unserved, value):
+        response = unserved.dispatch({"kind": "sample", "count": value})
+        assert response["message"] == \
+            f"count must be a JSON integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [
+        "s" * (server_module.ECHO_CHARS - 1),
+        list(range(40)),
+        10**100,
+    ], ids=["string", "list", "int"])
+    def test_long_value_is_cut_to_prefix_and_length(self, value):
+        length = len(repr(value)) if isinstance(value, int) else len(value)
+        assert server_module._brief(value) == (
+            f"{repr(value)[:server_module.ECHO_CHARS]}... (length {length})")
+
+
 def assert_one_reply(reply: bytes) -> None:
     """One JSON object on one line, with a boolean ``ok`` and, on failure,
     one of the documented error names."""

@@ -5,7 +5,9 @@ import argparse
 import numpy as np
 import pytest
 
-from repro.cli import _non_negative_int, _port, _positive_float, main
+from repro.cli import (
+    _non_negative_float, _non_negative_int, _port, _positive_float, main,
+)
 
 
 class TestTrain:
@@ -301,6 +303,23 @@ class TestFlagValidation:
         assert "argument --seed" in err
         assert "expected a non-negative integer" in err
 
+    @pytest.mark.parametrize("flag", ["--quantum-lr", "--classical-lr"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.01"])
+    def test_bad_learning_rate_exits_2_naming_the_flag(self, flag, value,
+                                                       tmp_path, capsys):
+        # A nan learning rate used to exit 0 with a checkpoint whose every
+        # parameter was NaN.
+        out = tmp_path / "vae.npz"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--model", "vae", "--dataset", "qm9",
+                  "--samples", "32", "--epochs", "1", "--out", str(out),
+                  flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a non-negative finite number, " \
+               f"got {value!r}" in err
+        assert not out.exists()
+
     def test_data_parallel_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--model", "ae", "--dataset", "qm9",
@@ -359,6 +378,27 @@ class TestPositiveFloat:
             _positive_float(text)
         assert str(excinfo.value) == \
             f"expected a positive finite number, got {text!r}"
+
+
+class TestNonNegativeFloat:
+    """The ``train --quantum-lr`` / ``--classical-lr`` argparse type."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0.0),  # freezes the family; the entry-point tests train at 0
+        ("0.03", 0.03),
+        ("1e-3", 0.001),
+        ("2", 2.0),
+    ])
+    def test_accepts(self, text, value):
+        assert _non_negative_float(text) == value
+
+    @pytest.mark.parametrize("text", ["-1", "-1e-9", "nan", "inf", "-inf",
+                                      "1e999", "fast", ""])
+    def test_rejects_naming_the_value(self, text):
+        with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+            _non_negative_float(text)
+        assert str(excinfo.value) == \
+            f"expected a non-negative finite number, got {text!r}"
 
 
 class TestPort:
