@@ -1,22 +1,37 @@
-"""Shared machine stamp for every ``BENCH_*.json`` payload.
+"""What the benchmark runners share: the machine stamp, the commit, timing.
 
 Benchmark floors are only comparable between runs on similar hardware, so
 each runner records the CPU count, the BLAS implementation numpy was
 built against and the number of threads that BLAS runs with next to its
-timings.  Kept defensive: ``np.show_config``
-grew its machine-readable ``mode="dicts"`` form in numpy 1.25, and the
-layout of the returned dict is not a stable API — any shape surprise
-degrades to ``None`` rather than failing a benchmark run.
+timings, plus the git commit they were taken at.  Kept defensive:
+``np.show_config`` grew its machine-readable ``mode="dicts"`` form in
+numpy 1.25, and the layout of the returned dict is not a stable API — any
+shape surprise degrades to ``None`` rather than failing a benchmark run.
+
+``run_kernels.py`` and ``run_pipeline.py`` time ``bench_*`` functions
+written against the pytest-benchmark fixture API through
+:func:`discover` and :func:`time_benchmarks`.  A floored speedup is the
+ratio of two benchmarks, and the host's speed drifts while they run, so
+the benchmarks of every pair are timed round by round, in alternating
+order, and the speedup is the median of the per-round ratios: drift then
+lands on both sides of each ratio instead of between two minima taken
+seconds apart.
 """
 
 from __future__ import annotations
 
 import ctypes
+import inspect
 import os
 import platform
+import statistics
+import subprocess
+import time
 from pathlib import Path
 
 import numpy as np
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def blas_vendor() -> str | None:
@@ -71,3 +86,115 @@ def machine_stamp() -> dict:
         "blas": blas_vendor(),
         "blas_threads": blas_threads(),
     }
+
+
+def git_commit() -> str | None:
+    """The commit the benchmarked tree is based on, or None outside git.
+
+    Suffixed with ``-dirty`` when the working tree has uncommitted changes,
+    so a ``BENCH_*.json`` file never attributes numbers measured on
+    modified code to a clean commit.
+    """
+    def _git(*args):
+        try:
+            proc = subprocess.run(
+                ["git", *args], cwd=REPO_ROOT, capture_output=True,
+                text=True, timeout=10,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    head = _git("rev-parse", "HEAD")
+    if head is None:
+        return None
+    status = _git("status", "--porcelain")
+    dirty = "-dirty" if status is None or status.strip() else ""
+    return head.strip() + dirty
+
+
+class TimerShim:
+    """Duck-types the pytest-benchmark fixture's ``benchmark(fn)``: runs
+    ``fn`` once as a warmup (which also absorbs one-time plan compilation
+    and caches, so steady-state cost is what gets timed) and keeps it for
+    :func:`time_benchmarks`."""
+
+    def __init__(self):
+        self.fn = None
+
+    def __call__(self, fn):
+        self.fn = fn
+        return fn()
+
+
+def discover(module, only: str | None, pairs) -> dict:
+    """``bench_*`` functions of ``module`` taking only ``benchmark``.
+
+    ``pairs(names)`` lists the ``(measured, baseline)`` pairs among
+    ``names``.  With ``only``, the names containing it are kept together
+    with the partner of each, so every pair a selected benchmark belongs
+    to is still measured.
+    """
+    benches = {
+        name: fn
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if name.startswith("bench_")
+        and list(inspect.signature(fn).parameters) == ["benchmark"]
+    }
+    if only:
+        selected = {name for name in benches if only in name}
+        kept = set(selected)
+        for measured, baseline in pairs(benches):
+            if measured in selected or baseline in selected:
+                kept |= {measured, baseline}
+        benches = {name: benches[name] for name in kept}
+    return dict(sorted(benches.items()))
+
+
+def time_benchmarks(benches: dict, pairs, rounds: int):
+    """Time every benchmark; return its stats and every pair's speedup.
+
+    Benchmarks linked by ``pairs(names)`` (its ``(measured, baseline)``
+    pairs) form one group, timed round by round: in name order, and in
+    reverse on every other round, so each side of a pair runs first in
+    half the rounds.  Returns ``(results, ratios)``: per benchmark its
+    min/mean/max seconds over ``rounds``, and per pair the median over
+    rounds of baseline time / measured time.
+    """
+    links = pairs(benches)
+    group = {name: {name} for name in benches}
+    for measured, baseline in links:
+        merged = group[measured] | group[baseline]
+        for name in merged:
+            group[name] = merged
+    laps: dict[str, list[float]] = {}
+    for members in sorted({tuple(sorted(g)) for g in group.values()}):
+        fns = []
+        for name in members:
+            shim = TimerShim()
+            benches[name](shim)
+            fns.append(shim.fn)
+            laps[name] = []
+        order = list(range(len(members)))
+        for r in range(rounds):
+            for i in order if r % 2 == 0 else order[::-1]:
+                start = time.perf_counter()
+                fns[i]()
+                laps[members[i]].append(time.perf_counter() - start)
+    results = {
+        name: {
+            "min_s": min(times),
+            "mean_s": sum(times) / len(times),
+            "max_s": max(times),
+            "rounds": rounds,
+        }
+        for name, times in sorted(laps.items())
+    }
+    ratios = {
+        (measured, baseline): round(statistics.median(
+            slow / fast
+            for fast, slow in zip(laps[measured], laps[baseline])
+        ), 3)
+        for measured, baseline in links
+    }
+    return results, ratios

@@ -3,10 +3,15 @@
 The kernel micro-benchmarks in :mod:`bench_kernels` are written against the
 pytest-benchmark fixture API, but tracking a perf trajectory across PRs needs
 a dependency-free, scriptable entry point.  This runner calls every
-``bench_*`` function with a minimal fixture shim (warmup + min-of-rounds
-timing), derives compiled-vs-naive speedups for the benchmark pairs that have
-a ``*_naive`` baseline, and writes everything to ``BENCH_kernels.json`` at
-the repo root — the file future PRs diff against.
+``bench_*`` function through the fixture shim of :mod:`bench_machine`
+(one warmup, then ``--rounds`` timed rounds), derives compiled-vs-naive
+speedups for the benchmarks that have a ``*_naive`` baseline and
+complex64-vs-complex128 speedups for the ``*_c64`` ones, and writes
+everything to ``BENCH_kernels.json`` at the repo root — the file future
+PRs diff against.  The two sides of each pair run interleaved, round by
+round, and a speedup is the median of the per-round ratios
+(:func:`bench_machine.time_benchmarks`).  ``--only`` keeps the partner of
+every benchmark it selects.
 
 Each payload is stamped with the git commit it was generated at, and
 ``--check`` turns the runner into a perf-regression gate: it fails (exit 1)
@@ -22,9 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -33,7 +36,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from bench_machine import machine_stamp  # noqa: E402
+from bench_machine import (  # noqa: E402
+    discover,
+    git_commit,
+    machine_stamp,
+    time_benchmarks,
+)
 
 _NAIVE_SUFFIX = "_naive"
 _C64_SUFFIX = "_c64"
@@ -89,125 +97,17 @@ C64_SPEEDUP_FLOORS = {
     "bench_circuit_forward_8q_5layers_c64": 1.05,
 }
 
-def git_commit() -> str | None:
-    """The commit the benchmarked tree is based on, or None outside git.
 
-    Suffixed with ``-dirty`` when the working tree has uncommitted changes,
-    so BENCH_kernels.json never attributes numbers measured on modified
-    code to a clean commit.
-    """
-    def _git(*args):
-        try:
-            proc = subprocess.run(
-                ["git", *args],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=10,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    head = _git("rev-parse", "HEAD")
-    if head is None:
-        return None
-    status = _git("status", "--porcelain")
-    dirty = "-dirty" if status is None or status.strip() else ""
-    return head.strip() + dirty
-
-
-class TimerShim:
-    """Duck-types the pytest-benchmark fixture: ``benchmark(fn)`` and
-    ``benchmark.pedantic(fn, ...)``.  Times min/mean over ``rounds`` calls
-    after one warmup (the warmup also absorbs one-time plan compilation, so
-    steady-state kernel cost is what gets recorded)."""
-
-    def __init__(self, rounds: int):
-        self.rounds = rounds
-        self.stats: dict[str, float] | None = None
-
-    def __call__(self, fn):
-        result = fn()  # warmup
-        times = []
-        for _ in range(self.rounds):
-            start = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - start)
-        self.stats = {
-            "min_s": min(times),
-            "mean_s": sum(times) / len(times),
-            "max_s": max(times),
-            "rounds": self.rounds,
-        }
-        return result
-
-    def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1,
-                 warmup_rounds=0):
-        kwargs = kwargs or {}
-        for _ in range(warmup_rounds):
-            fn(*args, **kwargs)
-        times = []
-        result = None
-        for _ in range(max(rounds, 1)):
-            start = time.perf_counter()
-            for _ in range(max(iterations, 1)):
-                result = fn(*args, **kwargs)
-            times.append((time.perf_counter() - start) / max(iterations, 1))
-        self.stats = {
-            "min_s": min(times),
-            "mean_s": sum(times) / len(times),
-            "max_s": max(times),
-            "rounds": rounds,
-        }
-        return result
-
-
-def discover(only: str | None):
-    import bench_kernels
-
-    benches = []
-    for name, fn in inspect.getmembers(bench_kernels, inspect.isfunction):
-        if not name.startswith("bench_"):
-            continue
-        if only and only not in name:
-            continue
-        params = inspect.signature(fn).parameters
-        if list(params) != ["benchmark"]:
-            continue
-        benches.append((name, fn))
-    return sorted(benches)
-
-
-def _ratio_pairs(results: dict, pair) -> dict:
-    """baseline-time / measured-time for every pair ``pair(name) -> (key,
-    baseline_name)``; ``pair`` returns None for unpaired benchmarks."""
-    out = {}
-    for name, stats in results.items():
-        mapped = pair(name)
-        if mapped is None:
-            continue
-        key, baseline_name = mapped
-        baseline = results.get(baseline_name)
-        if baseline:
-            out[key] = round(baseline["min_s"] / stats["min_s"], 3)
+def pairs(names) -> list[tuple[str, str]]:
+    """``(measured, baseline)`` for every ``<name>`` / ``<name>_naive`` and
+    every ``<name>_c64`` / ``<name>`` pair among ``names``."""
+    out = []
+    for name in names:
+        if name + _NAIVE_SUFFIX in names:
+            out.append((name, name + _NAIVE_SUFFIX))
+        if name.endswith(_C64_SUFFIX) and name[: -len(_C64_SUFFIX)] in names:
+            out.append((name, name[: -len(_C64_SUFFIX)]))
     return out
-
-
-def speedups(results: dict) -> dict:
-    """naive-time / compiled-time for every ``<name>`` / ``<name>_naive`` pair."""
-    return _ratio_pairs(results, lambda name: (name, name + _NAIVE_SUFFIX))
-
-
-def c64_speedups(results: dict) -> dict:
-    """complex128-time / complex64-time for every ``<name>_c64`` / ``<name>``
-    pair — the measured win of the float32/complex64 precision mode."""
-    return _ratio_pairs(
-        results,
-        lambda name: (name, name[: -len(_C64_SUFFIX)])
-        if name.endswith(_C64_SUFFIX)
-        else None,
-    )
 
 
 def main(argv=None) -> int:
@@ -224,22 +124,27 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    benches = discover(args.only)
+    import bench_kernels
+
+    benches = discover(bench_kernels, args.only, pairs)
     if not benches:
         print(f"no benchmarks match --only {args.only!r}; not writing output",
               file=sys.stderr)
         return 1
 
-    results: dict[str, dict] = {}
-    for name, fn in benches:
-        shim = TimerShim(args.rounds)
-        fn(shim)
-        results[name] = shim.stats
-        print(f"{name:48s} min {shim.stats['min_s'] * 1e3:10.3f} ms  "
-              f"mean {shim.stats['mean_s'] * 1e3:10.3f} ms", file=sys.stderr)
+    results, ratios = time_benchmarks(benches, pairs, args.rounds)
+    for name, stats in results.items():
+        print(f"{name:48s} min {stats['min_s'] * 1e3:10.3f} ms  "
+              f"mean {stats['mean_s'] * 1e3:10.3f} ms", file=sys.stderr)
 
-    measured = speedups(results)
-    measured_c64 = c64_speedups(results)
+    measured = {
+        name: ratio for (name, baseline), ratio in sorted(ratios.items())
+        if baseline == name + _NAIVE_SUFFIX
+    }
+    measured_c64 = {
+        name: ratio for (name, __), ratio in sorted(ratios.items())
+        if name.endswith(_C64_SUFFIX)
+    }
     payload = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "git_commit": git_commit(),
@@ -259,19 +164,19 @@ def main(argv=None) -> int:
         ]
         failures = []
         checked = []
-        for floors, ratios in gates:
-            checked += [name for name in floors if name in ratios]
-            for name in sorted(set(floors) - set(ratios)):
+        for floors, values in gates:
+            checked += [name for name in floors if name in values]
+            for name in sorted(set(floors) - set(values)):
                 print(f"warning: floored benchmark {name} was not measured "
                       f"(filtered by --only?)", file=sys.stderr)
             failures += [
-                (name, ratios[name], floor)
+                (name, values[name], floor)
                 for name, floor in sorted(floors.items())
-                if name in ratios and ratios[name] < floor
+                if name in values and values[name] < floor
             ]
         for name, got, floor in failures:
             print(f"REGRESSION {name}: speedup {got:.2f}x below floor "
-                  f"{floor:.1f}x", file=sys.stderr)
+                  f"{floor:.2f}x", file=sys.stderr)
         if failures:
             return 1
         if not checked:

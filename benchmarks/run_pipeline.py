@@ -1,11 +1,13 @@
 """Pipeline-benchmark runner: time bench_pipeline.py, write BENCH_pipeline.json.
 
 Same discipline as ``run_kernels.py``: every ``bench_*`` function in
-:mod:`bench_pipeline` runs under a minimal pytest-benchmark shim (one
-warmup + min-of-rounds), speedups are derived for every ``<name>`` /
-``<name>_reference`` pair, and molecules/sec throughput is recorded for
-each stage.  The payload lands in ``BENCH_pipeline.json`` at the repo root,
-stamped with the git commit it was generated at.
+:mod:`bench_pipeline` runs through the fixture shim of :mod:`bench_machine`
+(one warmup, then ``--rounds`` timed rounds), each ``<name>`` /
+``<name>_reference`` pair runs interleaved round by round and its speedup
+is the median of the per-round ratios, and molecules/sec throughput is
+recorded for each stage.  The payload lands in ``BENCH_pipeline.json`` at
+the repo root, stamped with the git commit it was generated at.
+``--only`` keeps the partner of every benchmark it selects.
 
 ``--check`` turns the runner into a perf-regression gate: it fails (exit 1)
 when a measured batched-vs-reference speedup drops below its floor in
@@ -23,9 +25,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -34,7 +34,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from bench_machine import machine_stamp  # noqa: E402
+from bench_machine import (  # noqa: E402
+    discover,
+    git_commit,
+    machine_stamp,
+    time_benchmarks,
+)
 
 _REFERENCE_SUFFIX = "_reference"
 
@@ -56,85 +61,14 @@ THROUGHPUT_FLOORS = {
 }
 
 
-def git_commit() -> str | None:
-    """The commit the benchmarked tree is based on, or None outside git.
-
-    Suffixed with ``-dirty`` when the working tree has uncommitted changes,
-    so BENCH_pipeline.json never attributes numbers measured on modified
-    code to a clean commit.
-    """
-    def _git(*args):
-        try:
-            proc = subprocess.run(
-                ["git", *args],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=10,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    head = _git("rev-parse", "HEAD")
-    if head is None:
-        return None
-    status = _git("status", "--porcelain")
-    dirty = "-dirty" if status is None or status.strip() else ""
-    return head.strip() + dirty
-
-
-class TimerShim:
-    """Duck-types the pytest-benchmark fixture: ``benchmark(fn)``.  Times
-    min/mean over ``rounds`` calls after one warmup (the warmup also absorbs
-    corpus construction and fragment-table caching, so steady-state pipeline
-    cost is what gets recorded)."""
-
-    def __init__(self, rounds: int):
-        self.rounds = rounds
-        self.stats: dict[str, float] | None = None
-
-    def __call__(self, fn):
-        result = fn()  # warmup
-        times = []
-        for _ in range(self.rounds):
-            start = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - start)
-        self.stats = {
-            "min_s": min(times),
-            "mean_s": sum(times) / len(times),
-            "max_s": max(times),
-            "rounds": self.rounds,
-        }
-        return result
-
-
-def discover(only: str | None):
-    import bench_pipeline
-
-    benches = []
-    for name, fn in inspect.getmembers(bench_pipeline, inspect.isfunction):
-        if not name.startswith("bench_"):
-            continue
-        if only and only not in name:
-            continue
-        params = inspect.signature(fn).parameters
-        if list(params) != ["benchmark"]:
-            continue
-        benches.append((name, fn))
-    return sorted(benches)
-
-
-def speedups(results: dict) -> dict:
-    """reference-time / batched-time for every ``<name>``/``<name>_reference``
-    pair."""
-    out = {}
-    for name, stats in results.items():
-        baseline = results.get(name + _REFERENCE_SUFFIX)
-        if baseline:
-            out[name] = round(baseline["min_s"] / stats["min_s"], 3)
-    return out
+def pairs(names) -> list[tuple[str, str]]:
+    """``(measured, baseline)`` for every ``<name>`` /
+    ``<name>_reference`` pair among ``names``."""
+    return [
+        (name, name + _REFERENCE_SUFFIX)
+        for name in names
+        if name + _REFERENCE_SUFFIX in names
+    ]
 
 
 def throughputs(results: dict) -> dict:
@@ -163,21 +97,20 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    benches = discover(args.only)
+    import bench_pipeline
+
+    benches = discover(bench_pipeline, args.only, pairs)
     if not benches:
         print(f"no benchmarks match --only {args.only!r}; not writing output",
               file=sys.stderr)
         return 1
 
-    results: dict[str, dict] = {}
-    for name, fn in benches:
-        shim = TimerShim(args.rounds)
-        fn(shim)
-        results[name] = shim.stats
-        print(f"{name:44s} min {shim.stats['min_s'] * 1e3:10.3f} ms  "
-              f"mean {shim.stats['mean_s'] * 1e3:10.3f} ms", file=sys.stderr)
+    results, ratios = time_benchmarks(benches, pairs, args.rounds)
+    for name, stats in results.items():
+        print(f"{name:44s} min {stats['min_s'] * 1e3:10.3f} ms  "
+              f"mean {stats['mean_s'] * 1e3:10.3f} ms", file=sys.stderr)
 
-    measured = speedups(results)
+    measured = {name: ratio for (name, __), ratio in sorted(ratios.items())}
     measured_throughput = throughputs(results)
     payload = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

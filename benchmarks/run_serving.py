@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -36,31 +35,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from bench_machine import machine_stamp  # noqa: E402
+from bench_machine import git_commit, machine_stamp  # noqa: E402
 
 SPEEDUP_FLOOR = 1.2
 FUSION_FLOOR = 2.0
 THROUGHPUT_FLOOR = 250.0  # molecules/sec; healthy machines measure 1000s
-
-
-def git_commit() -> str | None:
-    """HEAD (suffixed ``-dirty`` when the tree has uncommitted changes)."""
-    def _git(*args):
-        try:
-            proc = subprocess.run(
-                ["git", *args], cwd=REPO_ROOT, capture_output=True,
-                text=True, timeout=10,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    head = _git("rev-parse", "HEAD")
-    if head is None:
-        return None
-    status = _git("status", "--porcelain")
-    dirty = "-dirty" if status is None or status.strip() else ""
-    return head.strip() + dirty
 
 
 def best_of(rounds: int, scenario) -> dict:

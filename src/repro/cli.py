@@ -31,8 +31,8 @@ writes the JSON response line.  A line longer than
 closed; a full queue answers ``queue_full`` (backpressure) and a request
 that outlives ``--timeout`` answers ``request_timeout`` — callers never
 hang.
-:class:`repro.serving.NetworkClient` speaks this protocol;
-:class:`repro.serving.Client` gives the same API in process.
+:class:`repro.serving.NetworkClient` speaks this protocol; in process,
+call :class:`repro.serving.GenerationService` directly.
 """
 
 from __future__ import annotations

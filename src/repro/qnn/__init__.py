@@ -4,7 +4,6 @@ from .circuits import (
     amplitude_encoder_circuit,
     angle_expval_circuit,
     probs_decoder_circuit,
-    reuploading_expval_circuit,
 )
 from .patched import PatchedQuantumLayer, patch_qubits, patched_latent_dim
 from .qlayer import QuantumLayer
@@ -17,5 +16,4 @@ __all__ = [
     "amplitude_encoder_circuit",
     "probs_decoder_circuit",
     "angle_expval_circuit",
-    "reuploading_expval_circuit",
 ]

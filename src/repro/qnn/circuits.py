@@ -21,7 +21,6 @@ __all__ = [
     "amplitude_encoder_circuit",
     "probs_decoder_circuit",
     "angle_expval_circuit",
-    "reuploading_expval_circuit",
 ]
 
 
@@ -72,19 +71,3 @@ def angle_expval_circuit(n_wires: int, n_features: int, n_layers: int) -> Circui
         .measure_expval()
     )
 
-
-def reuploading_expval_circuit(
-    n_wires: int, n_features: int, n_layers: int
-) -> Circuit:
-    """Data-reuploading variant of :func:`angle_expval_circuit`.
-
-    The same features are re-embedded before every entangling layer — an
-    expressivity extension beyond the paper's fixed single embedding,
-    exercised by the drop-in-decoder tests and available for SQ decoder
-    experiments.
-    """
-    return (
-        Circuit(n_wires)
-        .reuploading_layers(n_features, n_layers)
-        .measure_expval()
-    )

@@ -10,34 +10,33 @@ This package replaces PennyLane for the reproduction.  Public surface::
     outputs, cache = execute(circuit, inputs, weights)
     grad_in, grad_w = backward(cache, grad_outputs)
 
+Circuits are built from three gates, RY, RZ and CNOT: an amplitude or RY
+angle embedding, strongly entangling layers (``Rot = RZ.RY.RZ`` on every
+qubit, then the nearest-neighbour CNOT ring), and Pauli-Z expectations on
+every wire or basis probabilities, as in the paper's Fig. 2b.
+
 Execution is a compile/bind/run pipeline (:mod:`repro.quantum.engine`):
 
 1. **Compile** — the circuit template is lowered once into a
-   :class:`~repro.quantum.engine.StackedPlan`: runs of single-qubit gates on
-   the same wire (adjacent modulo gates on disjoint wires, which commute) are
-   fused into one 2x2 instruction — the SEL ``Rot = RZ.RY.RZ`` triple becomes
-   a single fused gate — and every instruction is lowered to a specialized
-   kernel.  The plan is cached on the :class:`~repro.quantum.circuit.Circuit`
-   and reused until its structure changes, so hybrid layers pay compilation
-   once, not per batch.
+   :class:`~repro.quantum.engine.StackedPlan` of two instruction kinds:
+   runs of rotations on the same wire (adjacent modulo gates on disjoint
+   wires, which commute) fuse into one dense 2x2 block — the SEL
+   ``Rot = RZ.RY.RZ`` triple becomes a single fused gate — and every CNOT
+   becomes a precomputed index gather.  The plan is cached on the
+   :class:`~repro.quantum.circuit.Circuit` and reused until its structure
+   changes, so hybrid layers pay compilation once, not per batch.
 2. **Bind** — each :func:`execute` call resolves the plan against the current
    weights/inputs: fused 2x2 matrices are rebuilt (bulk-vectorized across all
-   weight-only runs sharing a gate signature), diagonal gates become phase
-   vectors, and — when a backward pass will follow — effective generators
-   ``S G S^dagger`` are prepared so adjoint gradients stay exact through the
-   fusion.
+   weight-only runs sharing a gate sequence), and — when a backward pass will
+   follow — effective generators ``S G S^dagger`` are prepared so adjoint
+   gradients stay exact through the fusion.
 3. **Run** — kernels execute in order: dense blocks as batched GEMMs picked
-   by wire geometry (:func:`~repro.quantum.engine.apply_dense`), diagonal
-   gates (RZ/CZ/CRZ/Z) as elementwise phase multiplies over precomputed
-   basis-index masks, and permutation gates (CNOT/X/SWAP) as precomputed
-   index gathers.  The adjoint :func:`backward` walks the same bound program
-   in reverse with daggered kernels.  There is one kernel set, plain NumPy:
-   the only parallelism inside a pass is the BLAS library's own threading.
+   by wire geometry (:func:`~repro.quantum.engine.apply_dense`) and CNOTs
+   as index gathers.  The adjoint :func:`backward` walks the same bound
+   program in reverse with daggered kernels.  There is one kernel set, plain
+   NumPy: the only parallelism inside a pass is the BLAS library's own
+   threading.
 
-Kernel specialization rules: a lone RZ lowers to a diagonal phase multiply, a
-lone Z/CZ to an index-mask sign flip, a lone X/CNOT/SWAP to an index gather,
-CRZ to phase multiplies on its |10>/|11> index sets, and everything else —
-including every fused run of length > 1 — to the dense single-qubit kernel.
 The pre-compilation op-by-op interpreter survives as ``naive_execute`` /
 ``naive_backward``, the reference implementation that the compiled engine is
 property-tested against and benchmarked from.
@@ -78,9 +77,7 @@ from .engine import StackedPlan, compile_stacked, stacked_plan
 from .shift import parameter_shift_gradients, parameter_shift_jacobian
 from .state import (
     apply_gate,
-    basis_state,
     expval_z,
-    marginal_probabilities,
     num_wires,
     probabilities,
     z_signs,
@@ -107,9 +104,7 @@ __all__ = [
     "parameter_shift_gradients",
     "parameter_shift_jacobian",
     "apply_gate",
-    "basis_state",
     "expval_z",
-    "marginal_probabilities",
     "num_wires",
     "probabilities",
     "zero_state",

@@ -7,20 +7,21 @@ angle embedding).  State preparation is |0...0> by default or amplitude
 embedding of the input vector.
 
 The builder exposes exactly the pieces the paper's architectures need:
-amplitude/angle embedding, single-qubit rotations, CNOT/CZ entanglers, CRZ,
-and the strongly-entangling-layer template (see
-:meth:`Circuit.strongly_entangling_layers`).
+amplitude/angle embedding, RY/RZ rotations, CNOT entanglers and the
+strongly-entangling-layer template (see
+:meth:`Circuit.strongly_entangling_layers`), measured as Pauli-Z
+expectations on every wire or as basis probabilities.  RY, RZ and CNOT
+are the only gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = ["Operation", "Circuit", "sel_weight_count"]
 
-_PARAMETRIC = {"RX", "RY", "RZ", "CRZ"}
-_FIXED = {"CNOT", "CZ", "SWAP", "H", "X", "Y", "Z"}
+# Gate name -> (wires it acts on, whether it takes a parameter).
+_GATES = {"RY": (1, True), "RZ": (1, True), "CNOT": (2, False)}
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,17 @@ class Operation:
     source: tuple[str, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.name in _PARAMETRIC and self.source is None:
-            raise ValueError(f"{self.name} requires a parameter source")
-        if self.name in _FIXED and self.source is not None:
-            raise ValueError(f"{self.name} takes no parameter")
-        if self.name not in _PARAMETRIC | _FIXED:
+        if self.name not in _GATES:
             raise ValueError(f"unknown gate {self.name!r}")
+        arity, parametric = _GATES[self.name]
+        if len(self.wires) != arity:
+            raise ValueError(
+                f"{self.name} acts on {arity} wire(s), got {self.wires}"
+            )
+        if parametric and self.source is None:
+            raise ValueError(f"{self.name} requires a parameter source")
+        if not parametric and self.source is not None:
+            raise ValueError(f"{self.name} takes no parameter")
 
 
 class Circuit:
@@ -79,46 +85,21 @@ class Circuit:
         self.n_inputs = max(self.n_inputs, n_features)
         return self
 
-    def angle_embedding(
-        self, n_features: int, rotation: str = "RY", reuse_inputs: bool = False
-    ) -> "Circuit":
-        """Embed feature ``i`` as a ``rotation(x_i)`` on wire ``i``.
+    def angle_embedding(self, n_features: int) -> "Circuit":
+        """Embed feature ``i`` as an ``RY(x_i)`` on wire ``i``.
 
         One qubit per feature (not qubit-efficient, as the paper notes), but
         output-unconstrained; the SQ decoder uses it on the latent vector.
-        With ``reuse_inputs=True`` the gates re-reference input slots
-        ``0..n_features-1`` instead of allocating fresh ones — the
-        data-reuploading pattern.
         """
-        if rotation not in {"RX", "RY", "RZ"}:
-            raise ValueError(f"unsupported embedding rotation {rotation!r}")
         if n_features > self.n_wires:
             raise ValueError(
                 f"angle embedding of {n_features} features needs {n_features} "
                 f"wires, circuit has {self.n_wires}"
             )
-        start = 0 if reuse_inputs else self.n_inputs
+        start = self.n_inputs
         for i in range(n_features):
-            self.ops.append(Operation(rotation, (i,), ("input", start + i)))
-        self.n_inputs = max(self.n_inputs, start + n_features)
-        return self
-
-    def reuploading_layers(
-        self, n_features: int, n_layers: int, rotation: str = "RY"
-    ) -> "Circuit":
-        """Data re-uploading: re-embed the inputs before every SEL layer.
-
-        Perez-Salinas et al. (2020) show interleaving data encodings with
-        trainable layers enriches the accessible Fourier spectrum — the
-        natural expressivity extension of the paper's fixed-embedding
-        architecture (its "strong expressive power" motivation).
-        """
-        if n_layers < 1:
-            raise ValueError("need at least one re-uploading layer")
-        for layer in range(n_layers):
-            self.angle_embedding(n_features, rotation=rotation,
-                                 reuse_inputs=layer > 0)
-            self.strongly_entangling_layers(1)
+            self.ops.append(Operation("RY", (i,), ("input", start + i)))
+        self.n_inputs = start + n_features
         return self
 
     # ------------------------------------------------------------------
@@ -128,10 +109,6 @@ class Circuit:
         index = self.n_weights
         self.n_weights += 1
         return index
-
-    def rx(self, wire: int) -> "Circuit":
-        self.ops.append(Operation("RX", (wire,), ("weight", self._new_weight())))
-        return self
 
     def ry(self, wire: int) -> "Circuit":
         self.ops.append(Operation("RY", (wire,), ("weight", self._new_weight())))
@@ -152,82 +129,35 @@ class Circuit:
         self.rz(wire)
         return self
 
-    def crz(self, control: int, target: int) -> "Circuit":
-        self.ops.append(
-            Operation("CRZ", (control, target), ("weight", self._new_weight()))
-        )
-        return self
-
     def cnot(self, control: int, target: int) -> "Circuit":
         self.ops.append(Operation("CNOT", (control, target)))
-        return self
-
-    def cz(self, a: int, b: int) -> "Circuit":
-        self.ops.append(Operation("CZ", (a, b)))
-        return self
-
-    def h(self, wire: int) -> "Circuit":
-        self.ops.append(Operation("H", (wire,)))
-        return self
-
-    def x(self, wire: int) -> "Circuit":
-        self.ops.append(Operation("X", (wire,)))
-        return self
-
-    def y(self, wire: int) -> "Circuit":
-        self.ops.append(Operation("Y", (wire,)))
-        return self
-
-    def z(self, wire: int) -> "Circuit":
-        self.ops.append(Operation("Z", (wire,)))
-        return self
-
-    def swap(self, a: int, b: int) -> "Circuit":
-        self.ops.append(Operation("SWAP", (a, b)))
         return self
 
     # ------------------------------------------------------------------
     # Templates
     # ------------------------------------------------------------------
-    def strongly_entangling_layers(
-        self, n_layers: int, ranges: Sequence[int] | int = 1
-    ) -> "Circuit":
+    def strongly_entangling_layers(self, n_layers: int) -> "Circuit":
         """The paper's repeatable hidden layer (Fig. 2b).
 
         Each layer applies ``Rot(phi, theta, omega)`` on every qubit followed
-        by a periodic layout of CNOTs: ``CNOT(w, (w + r) % n)``.  ``ranges``
-        may be a single range for all layers (default 1, the nearest-neighbor
-        ring shown in the paper) or one per layer (PennyLane's default uses
-        ``(layer % (n - 1)) + 1``).
+        by the nearest-neighbour CNOT ring ``CNOT(w, (w + 1) % n)``.
         """
         if n_layers < 1:
             raise ValueError("need at least one entangling layer")
-        if isinstance(ranges, int):
-            layer_ranges = [ranges] * n_layers
-        else:
-            layer_ranges = list(ranges)
-            if len(layer_ranges) != n_layers:
-                raise ValueError("one CNOT range per layer is required")
-        for r in layer_ranges:
-            if self.n_wires > 1 and not 1 <= r < self.n_wires:
-                raise ValueError(f"CNOT range {r} invalid for {self.n_wires} wires")
-        for layer_range in layer_ranges:
+        for __ in range(n_layers):
             for wire in range(self.n_wires):
                 self.rot(wire)
             if self.n_wires > 1:
                 for wire in range(self.n_wires):
-                    self.cnot(wire, (wire + layer_range) % self.n_wires)
+                    self.cnot(wire, (wire + 1) % self.n_wires)
         return self
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def measure_expval(self, wires: Sequence[int] | None = None) -> "Circuit":
-        """Measure Pauli-Z expectation on each wire (defaults to all)."""
-        wires = tuple(range(self.n_wires)) if wires is None else tuple(wires)
-        if any(not 0 <= w < self.n_wires for w in wires):
-            raise ValueError(f"measurement wires {wires} out of range")
-        self.measurement = ("expval", wires)
+    def measure_expval(self) -> "Circuit":
+        """Measure the Pauli-Z expectation on every wire."""
+        self.measurement = ("expval", tuple(range(self.n_wires)))
         return self
 
     def measure_probs(self) -> "Circuit":

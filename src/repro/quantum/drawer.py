@@ -48,11 +48,7 @@ def draw(circuit: Circuit, max_columns: int | None = None) -> str:
         if truncated:
             row += "..."
         if circuit.measurement is not None:
-            kind, wires = circuit.measurement
-            if kind == "expval" and wire in wires:
-                row += "[Z]"
-            elif kind == "probs":
-                row += "[P]"
+            row += "[Z]" if circuit.measurement[0] == "expval" else "[P]"
         lines.append(row)
 
     header = []
@@ -63,18 +59,10 @@ def draw(circuit: Circuit, max_columns: int | None = None) -> str:
 
 
 def _op_labels(op) -> dict[int, str]:
-    if op.name in ("CNOT", "CZ"):
+    if op.name == "CNOT":
         control, target = op.wires
-        return {control: _CONTROL, target: _TARGET if op.name == "CNOT" else "z"}
-    if op.name == "SWAP":
-        a, b = op.wires
-        return {a: "x", b: "x"}
-    if op.name == "CRZ":
-        control, target = op.wires
-        return {control: _CONTROL, target: f"RZ({_slot(op)})"}
-    if op.source is not None:
-        return {op.wires[0]: f"{op.name}({_slot(op)})"}
-    return {op.wires[0]: op.name}
+        return {control: _CONTROL, target: _TARGET}
+    return {op.wires[0]: f"{op.name}({_slot(op)})"}
 
 
 def _slot(op) -> str:

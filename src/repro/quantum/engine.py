@@ -18,19 +18,18 @@ circuit of the same shape.
 
 The plan's machinery:
 
-* **Fusion + scheduling.**  Runs of single-qubit gates on one wire collapse
-  into a 2x2 matrix (the SEL ``Rot = RZ.RY.RZ`` triple becomes one
-  instruction); a commutation-aware peephole pass merges dense runs on
-  adjacent wires into 4x4 kron blocks and composes each CNOT ring into a
-  single index gather.
-* **Specialized kernels.**  Diagonal gates (RZ, CZ, CRZ, Z) multiply
-  precomputed basis-index masks by phases; permutation gates (CNOT, X,
-  SWAP) are index gathers; dense blocks dispatch by wire geometry to
-  batched GEMMs, with short strides (``right`` in {2, 4, 8}) lowered onto
-  ``kron(mat, I_right)`` GEMMs over the flattened tail
-  (:func:`apply_dense`, :func:`transition_matrix`).  Each instruction's
-  ``apply`` is its NumPy kernel; ``backward_step`` runs the same kernel
-  with the inverse gate (daggered matrix or phases, inverse gather).
+* **Fusion + scheduling.**  Every circuit is RY/RZ rotations plus CNOTs.
+  Runs of rotations on one wire collapse into a 2x2 matrix (the SEL
+  ``Rot = RZ.RY.RZ`` triple becomes one instruction); a commutation-aware
+  peephole pass merges dense runs on adjacent wires into 4x4 kron blocks
+  and composes each CNOT ring into a single index gather.
+* **Two instruction kinds.**  Dense blocks (:class:`_SDense`) dispatch by
+  wire geometry to batched GEMMs, with short strides (``right`` in {2, 4,
+  8}) lowered onto ``kron(mat, I_right)`` GEMMs over the flattened tail
+  (:func:`apply_dense`, :func:`transition_matrix`); CNOTs are index
+  gathers (:class:`_SPermutation`).  Each instruction's ``apply`` is its
+  NumPy kernel; ``backward_step`` runs the same kernel with the inverse
+  gate (daggered matrix, inverse gather).
 * **Checkpointed, transition-matrix backward.**  Instructions are *pure*
   (never mutate their input state), so the forward pass records every
   post-block state by reference; the adjoint backward walks only the
@@ -42,9 +41,9 @@ The plan's machinery:
   ``dU/dtheta = S (-i/2 G) P = -i/2 (S G S^dagger) U`` the adjoint identity
   ``dL/dtheta = Im(<lambda| G_eff |psi>)`` holds at the post-block state,
   so fusion preserves exact gradients.
-* **Bulk binding.**  Weight-only fused runs sharing a gate signature bind
+* **Bulk binding.**  Weight-only fused runs sharing a gate sequence bind
   through one vectorized gate construction and one batched-matmul sweep
-  per signature (:class:`_SStaticGroup`).
+  per sequence (:class:`_SStaticGroup`).
 
 The op-by-op interpreter (``naive_execute`` / ``naive_backward``) remains
 the reference the plan is property-tested against.
@@ -64,8 +63,6 @@ __all__ = [
     "stacked_plan",
 ]
 
-_SINGLE_QUBIT = {"RX", "RY", "RZ", "H", "X", "Y", "Z"}
-
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mat, -1, -2))
@@ -81,11 +78,6 @@ def circuit_signature(circuit: Circuit) -> tuple:
         circuit.n_weights,
         circuit.n_inputs,
     )
-
-
-def _wire_bit(n_wires: int, wire: int) -> np.ndarray:
-    indices = np.arange(2**n_wires)
-    return ((indices >> (n_wires - 1 - wire)) & 1).astype(bool)
 
 
 def _validate_wires(op: Operation, n_wires: int) -> None:
@@ -307,45 +299,27 @@ class _SDense:
         members, group, row = slot
         if group is not None:
             fused, geffs = group_data[group]
-            matrix = fused[:, row]
             grads = ()
             if with_grads:
                 grads = tuple(
                     (op.source, geffs[j][:, row])
                     for j, op in enumerate(members)
-                    if op.source is not None
                 )
-            return matrix, grads, True
+            return fused[:, row], grads, True
         # Dynamic run: at least one member is input-sourced -> per-row mats.
-        rows = inputs.shape[0]
-        mats = []
+        layers = []
         for op in members:
-            if op.source is None:
-                mats.append(G.fixed_gate(op.name, cdtype))
+            kind, index = op.source
+            if kind == "weight":
+                theta = np.repeat(weights[:, index], batch)
             else:
-                kind, index = op.source
-                if kind == "weight":
-                    theta = np.repeat(weights[:, index], batch)
-                else:
-                    theta = inputs[:, index]
-                mats.append(G.PARAMETRIC_GATES[op.name](theta, cdtype))
-        suffix = None
-        geff_by_pos = {}
-        for j in range(len(mats) - 1, -1, -1):
-            op = members[j]
-            if with_grads and op.source is not None:
-                gen = G.generator(op.name, cdtype)
-                geff = gen if suffix is None else suffix @ gen @ _dagger(suffix)
-                if geff.ndim == 2:
-                    geff = np.broadcast_to(geff, (rows, 2, 2))
-                geff_by_pos[j] = geff
-            suffix = mats[j] if suffix is None else np.matmul(suffix, mats[j])
-        if suffix.ndim == 2:  # every member fixed: broadcast to per-row
-            suffix = np.broadcast_to(suffix, (rows, 2, 2))
-        grads = tuple(
-            (members[j].source, geff_by_pos[j]) for j in sorted(geff_by_pos)
-        )
-        return suffix, grads, False
+                theta = inputs[:, index]
+            layers.append(G.PARAMETRIC_GATES[op.name](theta, cdtype))
+        fused, geffs = _fuse(layers, members, with_grads, cdtype)
+        grads = ()
+        if with_grads:
+            grads = tuple((op.source, geffs[j]) for j, op in enumerate(members))
+        return fused, grads, False
 
     def bind(self, inputs, weights, p, batch, with_grads, group_data, cdtype):
         bound = [
@@ -420,137 +394,10 @@ class _SDense:
         )
 
 
-class _SDiagRZ:
-    """Lone RZ: per-patch (or per-row) phase multiply on a bit mask."""
-
-    __slots__ = ("bit", "gdiag", "source", "touched")
-
-    def __init__(self, bit, source, wires):
-        self.bit = bit
-        self.gdiag = 1.0 - 2.0 * bit
-        self.source = source
-        self.touched = frozenset(wires)
-
-    def bind(self, inputs, weights, p, batch, with_grads, group_data, cdtype):
-        kind, index = self.source
-        if kind == "weight":
-            half = np.exp(-0.5j * weights[:, index])  # (p,)
-        else:
-            half = np.exp(-0.5j * inputs[:, index])  # (p * batch,)
-        half = half.astype(cdtype, copy=False)
-        return np.where(self.bit[None, :], np.conj(half)[:, None], half[:, None])
-
-    def apply(self, state, data, p, batch, out=None):
-        """Multiply rows by ``data``, the ``(p * batch, dim)`` per-row or
-        ``(p, dim)`` per-patch (broadcast over the batch) phases."""
-        if data.shape[0] == state.shape[0]:
-            if out is None:
-                return state * data
-            np.multiply(state, data, out=out)
-            return out
-        view = state.reshape(p, batch, -1)
-        if out is None:
-            return (view * data[:, None, :]).reshape(state.shape)
-        np.multiply(view, data[:, None, :], out=out.reshape(p, batch, -1))
-        return out
-
-    def needs_state(self, data):
-        return True
-
-    def backward_step(self, lam, data, checkpoint, ctx):
-        psi = checkpoint
-        im = lam.real * psi.imag - lam.imag * psi.real
-        per = im @ self.gdiag  # (p * batch,)
-        kind, index = self.source
-        if kind == "weight":
-            ctx.grad_weights[:, index] += per.reshape(ctx.p, ctx.batch).sum(axis=1)
-        else:
-            ctx.grad_inputs[:, index] += per
-        return self.apply(
-            lam, np.conj(data), ctx.p, ctx.batch, out=ctx.out_for(lam)
-        )
-
-
-class _SDiagCRZ:
-    """CRZ: phase multiplies on the |10> / |11> index sets."""
-
-    __slots__ = ("idx10", "idx11", "source", "touched")
-
-    def __init__(self, idx10, idx11, source, wires):
-        self.idx10 = idx10
-        self.idx11 = idx11
-        self.source = source
-        self.touched = frozenset(wires)
-
-    def bind(self, inputs, weights, p, batch, with_grads, group_data, cdtype):
-        kind, index = self.source
-        if kind == "weight":
-            theta = np.repeat(weights[:, index], batch)
-        else:
-            theta = inputs[:, index]
-        return np.exp(-0.5j * theta).astype(cdtype, copy=False)[:, None]
-
-    def apply(self, state, data, p, batch, out=None):
-        """Multiply the |10> set by the ``(p * batch, 1)`` phase ``data``
-        and the |11> set by its conjugate."""
-        if out is None:
-            out = state.copy()
-        else:
-            np.copyto(out, state)
-        out[:, self.idx10] *= data
-        out[:, self.idx11] *= np.conj(data)
-        return out
-
-    def needs_state(self, data):
-        return True
-
-    def backward_step(self, lam, data, checkpoint, ctx):
-        psi = checkpoint
-        per = (
-            (np.conj(lam[:, self.idx10]) * psi[:, self.idx10]).imag.sum(axis=1)
-            - (np.conj(lam[:, self.idx11]) * psi[:, self.idx11]).imag.sum(axis=1)
-        )
-        kind, index = self.source
-        if kind == "weight":
-            ctx.grad_weights[:, index] += per.reshape(ctx.p, ctx.batch).sum(axis=1)
-        else:
-            ctx.grad_inputs[:, index] += per
-        return self.apply(
-            lam, np.conj(data), ctx.p, ctx.batch, out=ctx.out_for(lam)
-        )
-
-
-class _SDiagSign:
-    """Self-inverse diagonal sign flip (CZ, Z) on a precomputed index set."""
-
-    __slots__ = ("idx", "touched")
-
-    def __init__(self, idx, wires):
-        self.idx = idx
-        self.touched = frozenset(wires)
-
-    def bind(self, inputs, weights, p, batch, with_grads, group_data, cdtype):
-        return None
-
-    def apply(self, state, data, p, batch, out=None):
-        if out is None:
-            out = state.copy()
-        else:
-            np.copyto(out, state)
-        out[:, self.idx] *= -1.0
-        return out
-
-    def needs_state(self, data):
-        return False
-
-    def backward_step(self, lam, data, checkpoint, ctx):
-        return self.apply(lam, data, ctx.p, ctx.batch, out=ctx.out_for(lam))
-
-
 class _SPermutation:
-    """Basis-index gather (CNOT, X, SWAP); consecutive permutations are
-    composed at compile time, so it carries an explicit inverse for the
-    backward walk."""
+    """Basis-index gather (a CNOT); consecutive permutations are composed
+    at compile time, so it carries an explicit inverse for the backward
+    walk."""
 
     __slots__ = ("perm", "inv", "touched")
 
@@ -581,6 +428,28 @@ class _SPermutation:
         return np.take(lam, self.inv, axis=1, out=ctx.out_for(lam))
 
 
+def _fuse(layers, members, with_grads, cdtype):
+    """Product of a run's gate stacks and each member's effective generator.
+
+    ``layers[j]`` is the ``(..., 2, 2)`` stack of ``members[j]``; the fused
+    matrix is ``layers[-1] @ ... @ layers[0]``.  With ``with_grads`` the
+    member at ``j`` gets ``S G S^dagger``, where ``S`` is the product of
+    the members after it (``G`` itself for the last one), so adjoint
+    gradients stay exact through the fusion.
+    """
+    suffix = None
+    geffs: list[np.ndarray | None] = [None] * len(layers)
+    for j in range(len(layers) - 1, -1, -1):
+        if with_grads:
+            gen = G.generator(members[j].name, cdtype)
+            if suffix is None:
+                geffs[j] = np.broadcast_to(gen, layers[j].shape)
+            else:
+                geffs[j] = suffix @ gen @ _dagger(suffix)
+        suffix = layers[j] if suffix is None else np.matmul(suffix, layers[j])
+    return suffix, geffs
+
+
 class _SStaticGroup:
     """Bulk binding of weight-only fused runs against ``(p, n_weights)``.
 
@@ -589,41 +458,22 @@ class _SStaticGroup:
     and effective generators — all ``(p, count, 2, 2)``.
     """
 
-    __slots__ = ("length", "positions", "count")
+    __slots__ = ("members", "widx", "count")
 
     def __init__(self, runs):
         self.count = len(runs)
-        self.length = len(runs[0])
-        positions = []
-        for j in range(self.length):
-            op = runs[0][j]
-            if op.source is None:
-                positions.append((op.name, G.FIXED_GATES[op.name], None))
-            else:
-                widx = np.array([run[j].source[1] for run in runs], dtype=np.intp)
-                positions.append((op.name, None, widx))
-        self.positions = positions
+        self.members = runs[0]
+        self.widx = [
+            np.array([run[j].source[1] for run in runs], dtype=np.intp)
+            for j in range(len(self.members))
+        ]
 
-    def bind(self, weights, p, with_grads, cdtype):
-        mats = np.empty((p, self.count, self.length, 2, 2), dtype=cdtype)
-        for j, (name, const, widx) in enumerate(self.positions):
-            if widx is None:
-                mats[:, :, j] = const
-            else:
-                mats[:, :, j] = G.PARAMETRIC_GATES[name](weights[:, widx])
-        suffix = None
-        geffs: list[np.ndarray | None] = [None] * self.length
-        for j in range(self.length - 1, -1, -1):
-            name, const, widx = self.positions[j]
-            if with_grads and widx is not None:
-                gen = G.generator(name, cdtype)
-                if suffix is None:
-                    geffs[j] = np.broadcast_to(gen, (p, self.count, 2, 2))
-                else:
-                    geffs[j] = suffix @ gen @ _dagger(suffix)
-            layer = np.ascontiguousarray(mats[:, :, j])
-            suffix = layer if suffix is None else np.matmul(suffix, layer)
-        return suffix, geffs
+    def bind(self, weights, with_grads, cdtype):
+        layers = [
+            G.PARAMETRIC_GATES[op.name](weights[:, widx], cdtype)
+            for op, widx in zip(self.members, self.widx)
+        ]
+        return _fuse(layers, self.members, with_grads, cdtype)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +500,11 @@ class StackedPlan:
              cdtype=np.complex128) -> list:
         """Resolve against ``(p, n_weights)`` weights (and flat inputs).
 
-        ``cdtype`` is the complex dtype of every bound matrix/phase — it
+        ``cdtype`` is the complex dtype of every bound matrix — it
         must match the stacked state the plan will run on.
         """
         cdtype = np.dtype(cdtype)
-        group_data = [g.bind(weights, p, with_grads, cdtype) for g in self.groups]
+        group_data = [g.bind(weights, with_grads, cdtype) for g in self.groups]
         return [
             instr.bind(inputs, weights, p, batch, with_grads, group_data, cdtype)
             for instr in self.instructions
@@ -752,27 +602,13 @@ def _schedule_stacked(instructions: list) -> list:
     return out
 
 
-def _lower_two_qubit(op: Operation, n_wires: int):
+def _lower_cnot(op: Operation, n_wires: int) -> _SPermutation:
+    """The CNOT as a gather: flip the target bit where the control bit is set."""
+    control, target = (n_wires - 1 - w for w in op.wires)
     indices = np.arange(2**n_wires)
-    shifts = [n_wires - 1 - w for w in op.wires]
-    bits = [(indices >> s) & 1 for s in shifts]
-    if op.name == "CNOT":
-        control, target = bits[0], shifts[1]
-        return _SPermutation(indices ^ (control << target), op.wires)
-    if op.name == "CZ":
-        return _SDiagSign(np.nonzero(bits[0] & bits[1])[0], op.wires)
-    if op.name == "SWAP":
-        diff = bits[0] ^ bits[1]
-        return _SPermutation(
-            indices ^ (diff << shifts[0]) ^ (diff << shifts[1]), op.wires
-        )
-    if op.name == "CRZ":
-        both = bits[0].astype(bool)
-        target = bits[1].astype(bool)
-        idx10 = np.nonzero(both & ~target)[0]
-        idx11 = np.nonzero(both & target)[0]
-        return _SDiagCRZ(idx10, idx11, op.source, op.wires)
-    raise ValueError(f"cannot lower two-qubit gate {op.name!r}")  # pragma: no cover
+    return _SPermutation(
+        indices ^ (((indices >> control) & 1) << target), op.wires
+    )
 
 
 def compile_stacked(circuit: Circuit) -> StackedPlan:
@@ -788,33 +624,9 @@ def compile_stacked(circuit: Circuit) -> StackedPlan:
         if not members:
             return
         members = tuple(members)
-        if len(members) == 1:
-            op = members[0]
-            if op.name == "RZ":
-                instructions.append(
-                    _SDiagRZ(_wire_bit(n, wire), op.source, (wire,))
-                )
-                return
-            if op.name == "Z":
-                instructions.append(
-                    _SDiagSign(np.nonzero(_wire_bit(n, wire))[0], (wire,))
-                )
-                return
-            if op.name == "X":
-                indices = np.arange(2**n)
-                instructions.append(
-                    _SPermutation(indices ^ (1 << (n - 1 - wire)), (wire,))
-                )
-                return
-        static = all(
-            op.source is None or op.source[0] == "weight" for op in members
-        )
         group = row = None
-        if static:
-            sig = tuple(
-                (op.name, None if op.source is None else op.source[0])
-                for op in members
-            )
+        if all(op.source[0] == "weight" for op in members):
+            sig = tuple(op.name for op in members)
             group = group_index.setdefault(sig, len(group_runs))
             if group == len(group_runs):
                 group_runs.append([])
@@ -827,12 +639,12 @@ def compile_stacked(circuit: Circuit) -> StackedPlan:
 
     for op in circuit.ops:
         _validate_wires(op, n)
-        if len(op.wires) == 1 and op.name in _SINGLE_QUBIT:
-            open_runs.setdefault(op.wires[0], []).append(op)
-        else:
+        if op.name == "CNOT":
             for wire in op.wires:
                 flush(wire)
-            instructions.append(_lower_two_qubit(op, n))
+            instructions.append(_lower_cnot(op, n))
+        else:
+            open_runs.setdefault(op.wires[0], []).append(op)
     for wire in sorted(open_runs):
         flush(wire)
 

@@ -2,12 +2,11 @@
 
 Conventions follow PennyLane (the paper's simulation platform):
 
-* ``RX/RY/RZ(theta) = exp(-i * theta / 2 * P)`` for Pauli ``P``.
+* ``RY/RZ(theta) = exp(-i * theta / 2 * P)`` for Pauli ``P``.
 * ``Rot(phi, theta, omega) = RZ(omega) @ RY(theta) @ RZ(phi)`` — the
   three-parameter rotation the paper places on every qubit of each strongly
   entangling layer.
-* ``CRZ(theta)`` applies ``RZ(theta)`` on the target conditioned on the
-  control (listed in the paper's Fig. 3 gate table).
+* ``CNOT`` on (control, target), the entangler of that layer's ring.
 
 Each parameterized gate exposes its *generator* ``G`` such that
 ``dU/dtheta = -i/2 * G @ U(theta)``; the exact backward pass in
@@ -26,19 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "I2",
-    "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "HADAMARD",
     "CNOT",
-    "CZ",
-    "SWAP",
-    "rx",
     "ry",
     "rz",
     "rot",
-    "crz",
     "fixed_gate",
     "generator",
     "PARAMETRIC_GATES",
@@ -46,22 +38,12 @@ __all__ = [
     "GENERATORS",
 ]
 
-I2 = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )
-CZ = np.diag([1, 1, 1, -1]).astype(np.complex128)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
-
-# Generator of CRZ: |1><1| (x) Z, eigenvalues {0, 0, +1, -1}.
-_CRZ_GENERATOR = np.diag([0, 0, 1, -1]).astype(np.complex128)
 
 
 def _as_angle(theta) -> np.ndarray:
@@ -77,13 +59,6 @@ def _gate_dtype(theta: np.ndarray, dtype) -> np.dtype:
     if dtype is not None:
         return np.dtype(dtype)
     return np.result_type(theta.dtype, np.complex64)
-
-
-def rx(theta, dtype=None) -> np.ndarray:
-    """Rotation about X.  ``theta`` may be a scalar or a batch vector."""
-    theta = _as_angle(theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return _assemble_2x2(c, -1j * s, -1j * s, c, _gate_dtype(theta, dtype))
 
 
 def ry(theta, dtype=None) -> np.ndarray:
@@ -106,24 +81,6 @@ def rot(phi: float, theta: float, omega: float, dtype=None) -> np.ndarray:
     return rz(omega, dtype) @ ry(theta, dtype) @ rz(phi, dtype)
 
 
-def crz(theta, dtype=None) -> np.ndarray:
-    """Controlled-RZ on (control, target)."""
-    theta = _as_angle(theta)
-    out_dtype = _gate_dtype(theta, dtype)
-    phase = np.exp(-0.5j * theta)
-    if theta.ndim == 0:
-        gate = np.eye(4, dtype=out_dtype)
-        gate[2, 2] = phase
-        gate[3, 3] = np.conj(phase)
-        return gate
-    gate = np.zeros(theta.shape + (4, 4), dtype=out_dtype)
-    gate[..., 0, 0] = 1.0
-    gate[..., 1, 1] = 1.0
-    gate[..., 2, 2] = phase
-    gate[..., 3, 3] = np.conj(phase)
-    return gate
-
-
 def _assemble_2x2(a, b, c, d, dtype=np.complex128) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim == 0:
@@ -136,25 +93,12 @@ def _assemble_2x2(a, b, c, d, dtype=np.complex128) -> np.ndarray:
     return gate
 
 
-PARAMETRIC_GATES = {"RX": rx, "RY": ry, "RZ": rz, "CRZ": crz}
-FIXED_GATES = {
-    "CNOT": CNOT,
-    "CZ": CZ,
-    "SWAP": SWAP,
-    "H": HADAMARD,
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-}
+PARAMETRIC_GATES = {"RY": ry, "RZ": rz}
+FIXED_GATES = {"CNOT": CNOT}
 
 # Public so the compiled engine (repro.quantum.engine) can map generators
 # through gate fusion without keeping its own copy of this table.
-GENERATORS = {
-    "RX": PAULI_X,
-    "RY": PAULI_Y,
-    "RZ": PAULI_Z,
-    "CRZ": _CRZ_GENERATOR,
-}
+GENERATORS = {"RY": PAULI_Y, "RZ": PAULI_Z}
 
 # Down-cast constant matrices are cached per (table, name, dtype) so
 # lower-precision executions reuse one complex64 copy instead of re-casting

@@ -1,7 +1,8 @@
 """Parameter-shift rule — the hardware-compatible gradient baseline.
 
-For gates generated by an involutory generator (RX/RY/RZ, eigenvalues of
-G/2 are +-1/2) the exact derivative of any expectation-value output is
+Every parametric gate is an RY or RZ, generated by an involutory Pauli
+(the eigenvalues of G/2 are +-1/2), so the exact derivative of any
+expectation-value output is
 
     df/dtheta = ( f(theta + pi/2) - f(theta - pi/2) ) / 2
 
@@ -19,28 +20,9 @@ import numpy as np
 from .autodiff import execute
 from .circuit import Circuit
 
-__all__ = [
-    "parameter_shift_gradients",
-    "parameter_shift_jacobian",
-    "require_two_term",
-]
+__all__ = ["parameter_shift_gradients", "parameter_shift_jacobian"]
 
 _SHIFT = np.pi / 2
-_TWO_TERM = {"RX", "RY", "RZ"}
-
-
-def require_two_term(circuit: Circuit) -> None:
-    """Raise unless every weight-sourced gate admits the two-term shift rule.
-
-    Guards the shift-rule evaluators here: a gate outside the rule (e.g.
-    CRZ) would give a wrong gradient, not an error.
-    """
-    for op in circuit.ops:
-        if op.source is not None and op.source[0] == "weight":
-            if op.name not in _TWO_TERM:
-                raise ValueError(
-                    f"{op.name} does not admit the two-term shift rule"
-                )
 
 
 def parameter_shift_jacobian(
@@ -51,14 +33,11 @@ def parameter_shift_jacobian(
 ) -> np.ndarray:
     """Jacobian d outputs / d weights, shape ``(batch, output_dim, n_weights)``.
 
-    Raises for circuits containing parametric gates outside the two-term rule
-    (e.g. CRZ, whose generator has eigenvalue 0); those are validated by
-    finite differences in the test-suite instead.  ``dtype`` selects the
-    execution precision of the shifted evaluations (None follows the active
-    policy); the Jacobian itself always accumulates in float64.
+    ``dtype`` selects the execution precision of the shifted evaluations
+    (None follows the active policy); the Jacobian itself always
+    accumulates in float64.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    require_two_term(circuit)
     base, __ = execute(circuit, inputs, weights, want_cache=False, dtype=dtype)
     batch, out_dim = base.shape
     jacobian = np.zeros((batch, out_dim, circuit.n_weights), dtype=np.float64)

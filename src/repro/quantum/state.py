@@ -21,12 +21,11 @@ from ..nn.precision import real_dtype_for
 
 __all__ = [
     "zero_state",
-    "basis_state",
     "num_wires",
     "apply_gate",
     "expval_z",
     "probabilities",
-    "marginal_probabilities",
+    "z_signs",
 ]
 
 
@@ -34,17 +33,6 @@ def zero_state(n_wires: int, batch: int = 1, dtype=np.complex128) -> np.ndarray:
     """The |0...0> state replicated over a batch."""
     state = np.zeros((batch, 2**n_wires), dtype=dtype)
     state[:, 0] = 1.0
-    return state
-
-
-def basis_state(
-    index: int, n_wires: int, batch: int = 1, dtype=np.complex128
-) -> np.ndarray:
-    """A computational basis state |index>."""
-    if not 0 <= index < 2**n_wires:
-        raise ValueError(f"basis index {index} out of range for {n_wires} wires")
-    state = np.zeros((batch, 2**n_wires), dtype=dtype)
-    state[:, index] = 1.0
     return state
 
 
@@ -119,23 +107,6 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return state.real**2 + state.imag**2
 
 
-def marginal_probabilities(state: np.ndarray, wires: Sequence[int]) -> np.ndarray:
-    """Joint probabilities marginalized onto a subset of wires."""
-    batch = state.shape[0]
-    n = num_wires(state)
-    probs = probabilities(state).reshape((batch,) + (2,) * n)
-    keep = [w + 1 for w in wires]
-    drop = tuple(axis for axis in range(1, n + 1) if axis not in keep)
-    if drop:
-        probs = probs.sum(axis=drop)
-    order = list(np.argsort(np.argsort(wires)))
-    if order != list(range(len(wires))):
-        probs = np.moveaxis(
-            probs, list(range(1, len(wires) + 1)), [o + 1 for o in order]
-        )
-    return probs.reshape(batch, 2 ** len(wires))
-
-
 _Z_SIGN_CACHE: dict[tuple[int, np.dtype], np.ndarray] = {}
 
 
@@ -153,6 +124,3 @@ def z_signs(n_wires: int, dtype=np.float64) -> np.ndarray:
         signs[w] = 1.0 - 2.0 * bit
     _Z_SIGN_CACHE[key] = signs
     return signs
-
-
-__all__.append("z_signs")

@@ -13,9 +13,9 @@ whenever it can do so without making any of them wait:
   soon as it is free, fusing the requests queued behind it, with
   per-request timeouts and backpressure instead of hangs;
 * :class:`GenerationService` — sample / encode / score over both,
-  batches split back per request;
-* :class:`Client` / :class:`NetworkClient` — in-process and JSON-lines
-  TCP clients (the latter pairs with ``python -m repro.cli serve``).
+  batches split back per request; called directly in process;
+* :class:`NetworkClient` — the JSON-lines TCP client that pairs with
+  ``python -m repro.cli serve``.
 """
 
 from .batcher import (
@@ -26,7 +26,7 @@ from .batcher import (
     ServiceClosed,
     ServingError,
 )
-from .client import Client, NetworkClient
+from .client import NetworkClient
 from .registry import ModelEntry, ModelRegistry
 from .server import GenerationServer
 from .service import GenerationService, per_molecule_scores
@@ -43,6 +43,5 @@ __all__ = [
     "GenerationService",
     "GenerationServer",
     "per_molecule_scores",
-    "Client",
     "NetworkClient",
 ]

@@ -1,15 +1,11 @@
-"""Clients for the generation service.
-
-:class:`Client` is the in-process programmatic client: it binds a
-:class:`~repro.serving.service.GenerationService` (and optionally a
-default checkpoint) and exposes the three request kinds as plain calls
-returning numpy arrays.  Tests drive the service through it.
+"""The network client for the generation service.
 
 :class:`NetworkClient` speaks the JSON-lines TCP protocol of
 ``python -m repro.cli serve`` (see :mod:`repro.serving.server`): one JSON
 object per line in, one per line out, arrays as nested lists.  Server-side
 failures are re-raised as the matching :class:`ServingError` subclass, so
-calling code handles local and remote services identically.
+calling code handles a remote service and an in-process
+:class:`~repro.serving.service.GenerationService` identically.
 """
 
 from __future__ import annotations
@@ -21,32 +17,7 @@ import numpy as np
 
 from .batcher import QueueFull, RequestTimeout, ServiceClosed, ServingError
 
-__all__ = ["Client", "NetworkClient"]
-
-
-class Client:
-    """Programmatic in-process client bound to one service."""
-
-    def __init__(self, service, checkpoint=None, timeout: float | None = None):
-        self.service = service
-        self.checkpoint = checkpoint
-        self.timeout = timeout
-
-    def sample(self, count: int, seed: int = 0) -> np.ndarray:
-        return self.service.sample(
-            count, seed=seed, checkpoint=self.checkpoint, timeout=self.timeout
-        )
-
-    def encode(self, features) -> np.ndarray:
-        return self.service.encode(
-            features, checkpoint=self.checkpoint, timeout=self.timeout
-        )
-
-    def score(self, matrices) -> dict[str, np.ndarray]:
-        return self.service.score(matrices, timeout=self.timeout)
-
-    def stats(self) -> dict:
-        return self.service.stats()
+__all__ = ["NetworkClient"]
 
 
 # Wire error name -> exception type (mirrors server._error_name).

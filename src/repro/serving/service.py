@@ -43,6 +43,7 @@ from ..evaluation.sampling import decode_latents, prior_latents
 from ..nn.tensor import Tensor, no_grad
 from .batcher import MicroBatcher, ServingError
 from .registry import ModelEntry, ModelRegistry
+from .server import _brief
 
 __all__ = ["GenerationService", "MAX_SAMPLE_COUNT", "per_molecule_scores"]
 
@@ -181,16 +182,19 @@ class GenerationService:
 
     def _sample_request(self, count: int, seed: int,
                         checkpoint: str | Path | None):
+        # Out-of-range values are echoed capped, like every wire error.
         if count < 1:
-            raise ValueError(f"count must be a positive integer, got {count}")
+            raise ValueError(
+                f"count must be a positive integer, got {_brief(count)}"
+            )
         if count > MAX_SAMPLE_COUNT:
             raise ValueError(
-                f"count must be at most {MAX_SAMPLE_COUNT}, got {count}"
+                f"count must be at most {MAX_SAMPLE_COUNT}, got {_brief(count)}"
             )
         # The worker's default_rng rejects a negative seed, which would
         # fail every request fused into the same batch; refuse it here.
         if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+            raise ValueError(f"seed must be non-negative, got {_brief(seed)}")
         entry = self._entry(checkpoint)
         if not entry.is_variational:
             raise TypeError(

@@ -2,7 +2,7 @@
 
 The engine property suites (compiled, stacked, differential, precision,
 patched) all need the same two ingredients — a seeded random-circuit
-generator covering the full lowered gate set, and a parameter-shift
+generator covering the whole gate set, and a parameter-shift
 cross-check for adjoint weight gradients.  They used to carry near-identical
 private copies; the fixtures below are the one shared implementation.
 
@@ -16,10 +16,7 @@ import pytest
 
 from repro.quantum import Circuit, Operation, parameter_shift_gradients
 
-ALL_GATES = ["RX", "RY", "RZ", "CRZ", "CNOT", "CZ", "SWAP", "H", "X", "Y", "Z"]
-
-_TWO_QUBIT = {"CRZ", "CNOT", "CZ", "SWAP"}
-_ROTATIONS = {"RX", "RY", "RZ"}
+ALL_GATES = ["RY", "RZ", "CNOT"]
 
 
 def build_random_circuit(
@@ -31,53 +28,42 @@ def build_random_circuit(
     reupload=False,
     adjacent=False,
 ):
-    """A seeded random circuit over the full lowered gate set.
+    """A seeded random circuit over the whole gate set: RY, RZ and CNOT.
 
-    Covers every lowering rule the engine has: dense rotation runs, lone
-    diagonal/permutation singletons, two-qubit gates, and both embeddings.
-    ``reupload`` sprinkles input-sourced rotations through the body so fused
-    runs mix batched (per-sample) and shared matrices; ``adjacent`` biases
-    single-qubit placement onto neighbouring wires so the scheduler's 4x4
-    kron pair merging is exercised hard.
+    Covers every lowering rule the engine has: fused rotation runs (lone
+    rotations included), CNOT gathers and their composition, and both
+    embeddings.  ``reupload`` sprinkles input-sourced rotations through the
+    body so fused runs mix batched (per-sample) and shared matrices;
+    ``adjacent`` biases rotation placement onto neighbouring wires so the
+    scheduler's 4x4 kron pair merging is exercised hard.
     """
     circuit = Circuit(n_wires)
     if embedding == "amplitude":
         circuit.amplitude_embedding(2**n_wires)
     elif embedding == "angle":
-        circuit.angle_embedding(
-            n_wires, rotation=str(rng.choice(["RX", "RY", "RZ"]))
-        )
+        circuit.angle_embedding(n_wires)
     prev_wire = 0
     for _ in range(n_ops):
         name = ALL_GATES[rng.integers(len(ALL_GATES))]
-        if name in _TWO_QUBIT and n_wires < 2:
+        if name == "CNOT" and n_wires < 2:
             name = "RY"
-        if name in _TWO_QUBIT:
+        if name == "CNOT":
             a, b = rng.choice(n_wires, size=2, replace=False)
-            wires = (int(a), int(b))
+            circuit.cnot(int(a), int(b))
+            continue
+        if adjacent and n_wires > 1:
+            step = int(rng.integers(-1, 2))
+            wire = int(np.clip(prev_wire + step, 0, n_wires - 1))
         else:
-            if adjacent and n_wires > 1:
-                step = int(rng.integers(-1, 2))
-                wire = int(np.clip(prev_wire + step, 0, n_wires - 1))
-            else:
-                wire = int(rng.integers(n_wires))
-            wires = (wire,)
-            prev_wire = wire
-        if name in _ROTATIONS:
-            if reupload and circuit.n_inputs and rng.random() < 0.3:
-                source = ("input", int(rng.integers(circuit.n_inputs)))
-            else:
-                source = ("weight", circuit._new_weight())
-        elif name == "CRZ":
+            wire = int(rng.integers(n_wires))
+        prev_wire = wire
+        if reupload and circuit.n_inputs and rng.random() < 0.3:
+            source = ("input", int(rng.integers(circuit.n_inputs)))
+        else:
             source = ("weight", circuit._new_weight())
-        else:
-            source = None
-        circuit.ops.append(Operation(name, wires, source))
+        circuit.ops.append(Operation(name, (wire,), source))
     if measurement == "expval":
-        n_meas = int(rng.integers(1, n_wires + 1))
-        circuit.measure_expval(
-            tuple(sorted(rng.choice(n_wires, n_meas, replace=False).tolist()))
-        )
+        circuit.measure_expval()
     else:
         circuit.measure_probs()
     return circuit

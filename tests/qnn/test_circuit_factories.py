@@ -10,7 +10,6 @@ from repro.qnn import (
     amplitude_encoder_circuit,
     angle_expval_circuit,
     probs_decoder_circuit,
-    reuploading_expval_circuit,
 )
 from repro.quantum import execute
 
@@ -40,13 +39,6 @@ class TestFactories:
         circuit = angle_expval_circuit(4, 4, 2)
         assert circuit.output_dim == 4
         assert circuit.n_inputs == 4
-
-    def test_reuploading_factory_inputs(self):
-        circuit = reuploading_expval_circuit(3, 3, 4)
-        assert circuit.n_inputs == 3  # slots shared across uploads
-        uploads = sum(1 for op in circuit.ops
-                      if op.source and op.source[0] == "input")
-        assert uploads == 3 * 4
 
     def test_encoder_decoder_compose(self):
         # Chaining encoder -> decoder must be dimension-consistent, the

@@ -3,9 +3,8 @@
 A loss built on a :class:`QuantumLayer` or :class:`PatchedQuantumLayer`
 is walked by the tape like any other graph; the layer's VJPs are the
 exact adjoint.  These tests check the weight gradients against the
-parameter-shift Jacobian where every gate admits the two-term rule, and
-everything else (CRZ weights, input features, a whole SQ-AE train step)
-against central finite differences.  Losses are squared outputs, so each
+parameter-shift Jacobian, and everything else (input features, a whole
+SQ-AE train step) against central finite differences.  Losses are squared outputs, so each
 cotangent reaching the layer depends on the forward values.
 """
 
@@ -18,7 +17,6 @@ from repro.qnn import (
     QuantumLayer,
     amplitude_encoder_circuit,
     angle_expval_circuit,
-    reuploading_expval_circuit,
 )
 from repro.quantum import Circuit, execute
 from repro.quantum.shift import parameter_shift_jacobian
@@ -95,28 +93,16 @@ class TestQuantumLayerBackward:
             atol=1e-10,
         )
 
-    def test_reuploaded_input_grads_match_finite_differences(self):
-        # Each feature is embedded before every layer, so its gradient
-        # sums the contributions of all its embeddings.
+    def test_angle_input_grads_match_finite_differences(self):
+        # The SQ decoder's patch circuit: latent angles in, expectations out.
         layer = QuantumLayer(
-            reuploading_expval_circuit(2, 2, 3), rng=np.random.default_rng(1)
+            angle_expval_circuit(2, 2, 3), rng=np.random.default_rng(1)
         )
         x = Tensor(np.random.default_rng(2).uniform(-1, 1, (3, 2)),
                    requires_grad=True)
         squared(layer, x).backward()
         fd = fd_grad(value_of(squared, layer, Tensor(x.data)), x.data)
         np.testing.assert_allclose(x.grad, fd, atol=1e-6)
-
-    def test_crz_weights_match_finite_differences(self):
-        # CRZ has no two-term shift rule; the adjoint VJP still applies.
-        circuit = Circuit(2)
-        circuit.rx(0)
-        circuit.crz(0, 1)
-        circuit.measure_expval()
-        layer = QuantumLayer(circuit, rng=np.random.default_rng(2))
-        squared(layer, None).backward()
-        fd = fd_grad(value_of(squared, layer, None), layer.weights.data)
-        np.testing.assert_allclose(layer.weights.grad, fd, atol=1e-6)
 
     def test_amplitude_layer_matches_finite_differences(self):
         circuit = Circuit(3)

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.quantum import (
     Circuit,
+    Operation,
     backward,
     execute,
     prepare_amplitude_state,
     sel_weight_count,
 )
-from repro.quantum.shift import require_two_term
 
 
 def _finite_diff_weights(circuit, inputs, weights, grad_outputs, eps=1e-6):
@@ -60,16 +60,6 @@ class TestCircuitBuilder:
         cnots = [op.wires for op in circuit.ops if op.name == "CNOT"]
         assert cnots == [(0, 1), (1, 2), (2, 0)]
 
-    def test_sel_custom_ranges(self):
-        circuit = Circuit(4).strongly_entangling_layers(2, ranges=[1, 2])
-        cnots = [op.wires for op in circuit.ops if op.name == "CNOT"]
-        assert cnots[:4] == [(0, 1), (1, 2), (2, 3), (3, 0)]
-        assert cnots[4:] == [(0, 2), (1, 3), (2, 0), (3, 1)]
-
-    def test_sel_bad_range(self):
-        with pytest.raises(ValueError):
-            Circuit(3).strongly_entangling_layers(1, ranges=3)
-
     def test_single_wire_sel_has_no_cnot(self):
         circuit = Circuit(1).strongly_entangling_layers(2)
         assert all(op.name != "CNOT" for op in circuit.ops)
@@ -98,22 +88,47 @@ class TestCircuitBuilder:
 
     def test_output_dim(self):
         assert Circuit(3).measure_expval().output_dim == 3
-        assert Circuit(3).measure_expval((0,)).output_dim == 1
         assert Circuit(3).measure_probs().output_dim == 8
 
     def test_output_dim_without_measurement(self):
         with pytest.raises(ValueError):
             Circuit(2).output_dim
 
-    def test_measure_bad_wire(self):
-        with pytest.raises(ValueError):
-            Circuit(2).measure_expval((5,))
-
     def test_unknown_gate_rejected(self):
-        from repro.quantum import Operation
-
         with pytest.raises(ValueError):
             Operation("FOO", (0,))
+
+    @pytest.mark.parametrize("name, wires, source", [
+        ("RX", (0,), ("weight", 0)),
+        ("CRZ", (0, 1), ("weight", 0)),
+        ("CZ", (0, 1), None),
+        ("SWAP", (0, 1), None),
+        ("H", (0,), None),
+        ("X", (0,), None),
+        ("Y", (0,), None),
+        ("Z", (0,), None),
+    ])
+    def test_only_ry_rz_and_cnot_are_gates(self, name, wires, source):
+        with pytest.raises(ValueError, match="unknown gate"):
+            Operation(name, wires, source)
+
+    @pytest.mark.parametrize("name, wires, source", [
+        ("RY", (0, 1), ("weight", 0)),
+        ("RZ", (), ("weight", 0)),
+        ("CNOT", (0,), None),
+        ("CNOT", (0, 1, 2), None),
+    ])
+    def test_gate_wire_count_checked(self, name, wires, source):
+        with pytest.raises(ValueError, match="acts on"):
+            Operation(name, wires, source)
+
+    @pytest.mark.parametrize("name, wires, source, message", [
+        ("RY", (0,), None, "requires a parameter"),
+        ("CNOT", (0, 1), ("weight", 0), "takes no parameter"),
+    ])
+    def test_gate_parameter_checked(self, name, wires, source, message):
+        with pytest.raises(ValueError, match=message):
+            Operation(name, wires, source)
 
 
 class TestExecution:
@@ -214,13 +229,6 @@ class TestGradients:
         __, adjoint = backward(cache, grad_outputs)
         gradcheck_shift(circuit, None, weights, grad_outputs, adjoint, atol=1e-10)
 
-    def test_require_two_term_rejects_crz(self):
-        circuit = Circuit(2)
-        circuit.crz(0, 1)
-        circuit.measure_expval()
-        with pytest.raises(ValueError, match="two-term"):
-            require_two_term(circuit)
-
     def test_input_gradients_match_finite_diff(self):
         circuit = (
             Circuit(3)
@@ -252,16 +260,6 @@ class TestGradients:
         grad_in, __ = backward(cache, grad_outputs)
         fd = _finite_diff_inputs(circuit, x, weights, grad_outputs)
         np.testing.assert_allclose(grad_in, fd, atol=1e-6)
-
-    def test_crz_gradient_matches_finite_diff(self):
-        circuit = Circuit(2).ry(0).crz(0, 1).measure_expval()
-        rng = np.random.default_rng(6)
-        weights = rng.uniform(-np.pi, np.pi, circuit.n_weights)
-        outputs, cache = execute(circuit, None, weights)
-        grad_outputs = rng.normal(size=outputs.shape)
-        __, grad_w = backward(cache, grad_outputs)
-        fd = _finite_diff_weights(circuit, None, weights, grad_outputs)
-        np.testing.assert_allclose(grad_w, fd, atol=1e-6)
 
     def test_probs_gradient_with_amplitude_embedding(self):
         # The F-BQ decoder-like configuration: angle in, probs out.

@@ -2,7 +2,7 @@
 
 The unification of the per-instance adjoint with the stacked substrate is
 guarded here: for ≥50 seeded random circuits (drawn from the shared
-``random_circuit`` fixture, spanning widths 1-4, every lowered gate, both
+``random_circuit`` fixture, spanning widths 1-4, all three gates, both
 embeddings, both measurements, and re-uploaded inputs) the three execution
 paths must agree on forward outputs *and* adjoint gradients —
 
@@ -162,11 +162,6 @@ class TestDifferentialRandomCircuits:
         circuit, inputs, weights, __, rng = _case_for_seed(
             seed, random_circuit
         )
-        if any(
-            op.name == "CRZ" and op.source is not None
-            for op in circuit.ops
-        ):
-            pytest.skip("CRZ is outside the two-term shift rule")
         out, cache = execute(circuit, inputs, weights)
         grad_outputs = rng.normal(size=out.shape)
         __, gw = backward(cache, grad_outputs)

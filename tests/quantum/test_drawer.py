@@ -19,7 +19,7 @@ class TestDrawer:
         assert art.count("[Z]") == 2
 
     def test_probs_measurement_marker(self):
-        art = draw(Circuit(1).rx(0).measure_probs())
+        art = draw(Circuit(1).ry(0).measure_probs())
         assert "[P]" in art
 
     def test_input_slots_labeled(self):
@@ -34,14 +34,10 @@ class TestDrawer:
     def test_truncation(self):
         circuit = Circuit(1)
         for _ in range(10):
-            circuit.rx(0)
+            circuit.ry(0)
         art = draw(circuit, max_columns=3)
         assert "..." in art
         assert "w9" not in art
-
-    def test_crz_label(self):
-        art = draw(Circuit(2).crz(0, 1).measure_expval())
-        assert "RZ(w0)" in art
 
     def test_vertical_connector(self):
         # CNOT between wires 0 and 2 must draw a connector through wire 1.

@@ -1,13 +1,13 @@
 """Property tests for the compiled execution engine.
 
 A single circuit runs the stacked plan at ``p = 1`` (fused runs,
-adjacent-wire 4x4 kron pairs, diagonal/permutation kernels, composed ring
-gathers, checkpointed transition-matrix backward), and it must be
-*indistinguishable* from the naive
-op-by-op interpreter: identical forward outputs and identical adjoint
-gradients, to near machine precision, across randomized circuits covering
-every gate in ``_PARAMETRIC | _FIXED``, both embeddings, both measurement
-kinds, and both shared and per-sample (batched) gate parameters.
+adjacent-wire 4x4 kron pairs, composed CNOT gathers, checkpointed
+transition-matrix backward), and it must be *indistinguishable* from the
+naive op-by-op interpreter: identical forward outputs and identical
+adjoint gradients, to near machine precision, across randomized circuits
+covering every gate (RY, RZ, CNOT), both embeddings, both measurement
+kinds, and both shared and per-sample (batched) gate parameters.  Every
+model's circuits lower to the same two instruction kinds.
 """
 
 import numpy as np
@@ -26,7 +26,8 @@ from repro.quantum import (
     naive_execute,
     stacked_plan,
 )
-from repro.quantum.engine import _SDense, _SDiagRZ, _SPermutation
+from repro.models import build_model
+from repro.quantum.engine import _SDense, _SPermutation
 
 
 def _compare(circuit, inputs, weights, rng, atol=1e-10):
@@ -91,30 +92,21 @@ class TestCompiledMatchesNaive:
         grad_outputs, gw_c = _compare(circuit, inputs, weights, rng)
         gradcheck_shift(circuit, inputs, weights, grad_outputs, gw_c)
 
-    def test_reuploading_circuit(self):
-        rng = np.random.default_rng(11)
-        circuit = Circuit(3).reuploading_layers(3, 2).measure_expval()
-        weights = rng.uniform(-np.pi, np.pi, circuit.n_weights)
-        inputs = rng.uniform(-1, 1, size=(4, 3))
-        _compare(circuit, inputs, weights, rng)
-
     def test_every_specialized_kernel(self):
         """One circuit hitting every lowering rule, batched and unbatched."""
         rng = np.random.default_rng(12)
-        circuit = Circuit(3)
-        circuit.rz(0)            # lone RZ -> diagonal phase kernel
-        circuit.z(1)             # lone Z -> sign kernel
-        circuit.x(2)             # lone X -> permutation kernel
-        circuit.h(0).y(0)        # fused dense run
+        circuit = Circuit(3).angle_embedding(1)
+        circuit.rz(0)            # lone RZ -> dense block
+        circuit.ry(2)            # lone RY on the far wire
+        circuit.ry(1).rz(1)      # fused run, merged with wire 0 into a pair
         circuit.rot(1)           # fused Rot triple
-        circuit.cnot(0, 2)       # permutation
-        circuit.cz(1, 2)         # sign
-        circuit.swap(0, 1)       # permutation
-        circuit.crz(2, 0)        # CRZ diagonal
-        circuit.rx(2).ry(2)      # fused parametric run
+        circuit.cnot(0, 2)       # gather ...
+        circuit.cnot(2, 1)       # ... composed with the next CNOT
+        circuit.ops.append(Operation("RZ", (2,), ("input", 0)))
+        circuit.ry(2)            # input-bound run: per-row matrices
         circuit.measure_probs()
         weights = rng.uniform(-np.pi, np.pi, circuit.n_weights)
-        _compare(circuit, None, weights, rng)
+        _compare(circuit, rng.uniform(-1, 1, size=(3, 1)), weights, rng)
 
     def test_zero_fallback_rows_match(self):
         rng = np.random.default_rng(13)
@@ -162,19 +154,14 @@ class TestPlanLowering:
         dense = [i for i in plan.instructions if isinstance(i, _SDense)]
         assert len(dense) == 2
 
-    def test_kernel_specialization(self):
-        circuit = (
-            Circuit(3).rz(0).z(1).x(2).cz(0, 1).cnot(0, 2).crz(0, 1)
-            .measure_probs()
-        )
+    def test_lone_rotations_and_cnots_lower_to_the_two_kinds(self):
+        circuit = Circuit(3).rz(0).ry(2).cnot(0, 1).cnot(1, 2).measure_probs()
         plan = compile_stacked(circuit)
+        # A lone rotation is a one-member dense block, and the two CNOTs
+        # compose into a single gather.
         kinds = [type(i).__name__ for i in plan.instructions]
-        # The lone X and the CNOT compose into a single gather.
-        assert kinds == [
-            "_SDiagRZ", "_SDiagSign", "_SDiagSign",
-            "_SPermutation", "_SDiagCRZ",
-        ]
-        assert isinstance(plan.instructions[0], _SDiagRZ)
+        assert kinds == ["_SDense", "_SDense", "_SPermutation"]
+        assert [len(i.slots[0][0]) for i in plan.instructions[:2]] == [1, 1]
 
     def test_bad_wires_rejected_at_compile(self):
         circuit = Circuit(2).ry(1).measure_expval()
@@ -184,6 +171,39 @@ class TestPlanLowering:
         circuit.ops[-1] = Operation("CNOT", (1, 1))
         with pytest.raises(ValueError):
             execute(circuit, None, np.zeros(1))
+
+
+# Dense blocks and CNOT gathers over the plans of each quantum model's
+# circuits (every patch counted) at the CLI's default depths, for 64 and
+# 1,024 input features.
+MODEL_PLANS = {
+    "f-bq-ae": {64: (18, 6), 1024: (30, 6)},
+    "f-bq-vae": {64: (18, 6), 1024: (30, 6)},
+    "h-bq-ae": {64: (18, 6), 1024: (30, 6)},
+    "h-bq-vae": {64: (18, 6), 1024: (30, 6)},
+    "sq-ae": {64: (80, 40), 1024: (160, 40)},
+    "sq-vae": {64: (80, 40), 1024: (160, 40)},
+}
+
+
+class TestModelPlans:
+    """Every model's circuits compile to dense blocks and CNOT gathers."""
+
+    @pytest.mark.parametrize("features", [64, 1024])
+    @pytest.mark.parametrize("name", sorted(MODEL_PLANS))
+    def test_plans_hold_only_dense_blocks_and_gathers(self, name, features):
+        n_layers = 5 if name.startswith("sq") else 3
+        model = build_model(name, input_dim=features, n_patches=4,
+                            n_layers=n_layers, latent_dim=6, seed=0)
+        instructions = [
+            instr
+            for module in model.modules() if hasattr(module, "circuit")
+            for instr in stacked_plan(module.circuit).instructions
+        ]
+        kinds = {type(instr) for instr in instructions}
+        assert kinds == {_SDense, _SPermutation}
+        dense = sum(isinstance(i, _SDense) for i in instructions)
+        assert (dense, len(instructions) - dense) == MODEL_PLANS[name][features]
 
 
 class TestUnifiedSubstrate:

@@ -14,12 +14,8 @@ import pytest
 
 from repro.quantum.engine import (
     _SDense,
-    _SDiagCRZ,
-    _SDiagRZ,
-    _SDiagSign,
     _SPermutation,
     _kron_eye,
-    _wire_bit,
     apply_dense,
     transition_matrix,
 )
@@ -102,21 +98,6 @@ def _instruction_case(kind, dtype, rng):
                         slots=())
         mats = _complex(rng, (P if per_patch else P * BATCH, d, d), dtype)
         data = (mats, (), per_patch)
-    elif kind.startswith("rz"):
-        instr = _SDiagRZ(_wire_bit(n, 2), ("weight", 0), (2,))
-        rows = P if kind == "rz-per-patch" else P * BATCH
-        half = np.exp(-0.5j * rng.normal(size=rows)).astype(dtype)
-        data = np.where(instr.bit[None, :], np.conj(half)[:, None],
-                        half[:, None])
-    elif kind == "crz":
-        control, target = _wire_bit(n, 1), _wire_bit(n, 3)
-        instr = _SDiagCRZ(np.nonzero(control & ~target)[0],
-                          np.nonzero(control & target)[0],
-                          ("input", 0), (1, 3))
-        data = np.exp(-0.5j * rng.normal(size=(P * BATCH, 1))).astype(dtype)
-    elif kind == "sign":
-        instr = _SDiagSign(np.nonzero(_wire_bit(n, 1))[0], (1,))
-        data = None
     else:
         instr = _SPermutation(rng.permutation(dim), tuple(range(n)))
         data = None
@@ -124,8 +105,7 @@ def _instruction_case(kind, dtype, rng):
 
 
 KINDS = ["dense-innermost", "dense-short-stride", "dense-long-stride",
-         "dense-pair", "rz-per-row", "rz-per-patch", "crz", "sign",
-         "permutation"]
+         "dense-pair", "permutation"]
 
 
 class TestInstructionPurity:

@@ -7,7 +7,7 @@ lowering — per-patch bulk binding, adjacent-wire 4x4 kron blocks, composed
 permutation gathers, transition-matrix gradients read from forward
 checkpoints — must be *indistinguishable* from running the per-instance
 compiled path p times: identical outputs, identical weight and input
-gradients, to near machine precision, across the full gate set.
+gradients, to near machine precision, across the whole gate set.
 """
 
 import numpy as np
@@ -88,16 +88,13 @@ class TestStackedMatchesPerInstance:
     def test_every_specialized_kernel(self):
         rng = np.random.default_rng(8)
         circuit = Circuit(3)
-        circuit.rz(0)            # lone RZ -> stacked diagonal kernel
-        circuit.z(1)             # lone Z -> sign kernel
-        circuit.x(2)             # lone X -> permutation kernel
-        circuit.h(0).y(0)        # fused fixed run
+        circuit.rz(0)            # lone RZ -> dense block
+        circuit.ry(2)            # lone RY on the far wire
+        circuit.ry(1).rz(1)      # fused run, merged with wire 0 into a pair
         circuit.rot(1)           # fused Rot triple
-        circuit.cnot(0, 2)
-        circuit.cz(1, 2)
-        circuit.swap(0, 1)
-        circuit.crz(2, 0)
-        circuit.rx(2).ry(2)
+        circuit.cnot(0, 2)       # gather ...
+        circuit.cnot(2, 1)       # ... composed with the next CNOT
+        circuit.ry(2).rz(2)
         circuit.measure_probs()
         _compare_stacked(circuit, 5, 1, rng)
 
@@ -129,7 +126,10 @@ class TestStackedMatchesPerInstance:
 
     def test_backward_twice_is_deterministic(self):
         rng = np.random.default_rng(11)
-        circuit = Circuit(3).reuploading_layers(3, 2).measure_expval()
+        circuit = (
+            Circuit(3).angle_embedding(3).strongly_entangling_layers(2)
+            .measure_expval()
+        )
         weights = rng.uniform(-np.pi, np.pi, (2, circuit.n_weights))
         inputs = rng.uniform(-1, 1, size=(2, 3, 3))
         out, cache = execute_stacked(circuit, inputs, weights)

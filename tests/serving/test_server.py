@@ -532,12 +532,15 @@ class TestWireCheckpoint:
 
 
 HUGE = "x" * 1_000_000
+# A JSON integer of 4,000 digits, under the parser's int-conversion limit.
+HUGE_INT = 10**4000 - 1
 
 
 class TestHostileValuesAreNotEchoed:
     """An error reply echoes a rejected value as a short prefix and its
     length.  Each of these lines used to come back whole: a 1 MB string
-    in a 1 MB reply, a 200,000-element list in a 600 KB one."""
+    in a 1 MB reply, a 200,000-element list in a 600 KB one, a 4,000-digit
+    out-of-range ``count`` or ``seed`` in a 4 KB one."""
 
     def _assert_short_bad_request(self, server, message, field):
         line = json.dumps(message).encode()
@@ -559,6 +562,19 @@ class TestHostileValuesAreNotEchoed:
         message = self._assert_short_bad_request(
             unserved, {"kind": "sample", "count": 2, "seed": HUGE}, "seed")
         assert message.endswith(f"... (length {len(HUGE)})")
+
+    @pytest.mark.parametrize("count", [-HUGE_INT, HUGE_INT],
+                             ids=["below_one", "above_max"])
+    def test_count_out_of_range(self, unserved, count):
+        message = self._assert_short_bad_request(
+            unserved, {"kind": "sample", "count": count}, "count")
+        assert message.endswith(f"... (length {len(str(count))})")
+
+    def test_negative_seed(self, unserved):
+        message = self._assert_short_bad_request(
+            unserved, {"kind": "sample", "count": 2, "seed": -HUGE_INT},
+            "seed")
+        assert message.endswith(f"... (length {len(str(-HUGE_INT))})")
 
     def test_kind(self, unserved):
         message = self._assert_short_bad_request(

@@ -16,7 +16,6 @@ from repro.evaluation.sampling import decode_latents, matrix_size, prior_latents
 from repro.models import ClassicalAE, ClassicalVAE, ScalableQuantumVAE
 from repro.nn import save_module
 from repro.serving import (
-    Client,
     GenerationService,
     ModelRegistry,
     ServingError,
@@ -279,22 +278,19 @@ class TestServiceLifecycle:
         assert registry.stats.hits == 1
 
 
-class TestClient:
-    def test_in_process_client_round_trip(self, vae_checkpoint):
+class TestDirectCalls:
+    def test_round_trip(self, vae_checkpoint):
         with GenerationService(default_checkpoint=vae_checkpoint) as service:
-            client = Client(service)
             model = service.registry.load(vae_checkpoint).model
-            assert (client.sample(3, seed=2)
+            assert (service.sample(3, seed=2)
                     == sequential_sample(model, 3, 2)).all()
-            assert client.encode(np.ones((2, 64))).shape == (2, 6)
-            scores = client.score(np.zeros((2, 8, 8)))
+            assert service.encode(np.ones((2, 64))).shape == (2, 6)
+            scores = service.score(np.zeros((2, 8, 8)))
             assert scores["usable"].dtype == bool
-            assert client.stats()["models"] == 1
+            assert service.stats()["models"] == 1
 
-    def test_client_pins_a_checkpoint(self, vae_checkpoint,
-                                      sq_vae_checkpoint):
+    def test_named_checkpoint(self, vae_checkpoint, sq_vae_checkpoint):
         with GenerationService(default_checkpoint=vae_checkpoint) as service:
-            client = Client(service, checkpoint=sq_vae_checkpoint)
             model = service.registry.load(sq_vae_checkpoint).model
-            assert (client.sample(2, seed=3)
+            assert (service.sample(2, seed=3, checkpoint=sq_vae_checkpoint)
                     == sequential_sample(model, 2, 3)).all()

@@ -105,32 +105,3 @@ class TestVisualizeEdges:
         matrix = np.zeros((2, 2), dtype=int)
         matrix[0, 0] = 7  # out-of-range atom code renders as '?'
         assert "?" in render_molecule_matrix(matrix)
-
-
-class TestDrawerSwap:
-    def test_swap_rendering(self):
-        from repro.quantum import Circuit, draw
-        from repro.quantum.circuit import Operation
-
-        circuit = Circuit(2)
-        circuit.ops.append(Operation("SWAP", (0, 1)))
-        circuit.measure_expval()
-        art = draw(circuit)
-        assert art.count("x") >= 2
-
-
-class TestMarginalOrdering:
-    def test_wire_order_respected(self):
-        from repro.quantum import (
-            apply_gate,
-            gates,
-            marginal_probabilities,
-            zero_state,
-        )
-
-        # |10>: wire 0 is |1>, wire 1 is |0>.
-        state = apply_gate(zero_state(2), gates.PAULI_X, (0,))
-        forward = marginal_probabilities(state, (0, 1))
-        np.testing.assert_allclose(forward[0], [0, 0, 1, 0], atol=1e-12)
-        flipped = marginal_probabilities(state, (1, 0))
-        np.testing.assert_allclose(flipped[0], [0, 1, 0, 0], atol=1e-12)
