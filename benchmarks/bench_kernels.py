@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.chem import random_molecules, score_molecules
 from repro.models import ScalableQuantumAE
-from repro.nn import Adam, Linear, Tensor, functional as F
+from repro.nn import Adam, Linear, ReLU, Sequential, Tensor, functional as F
 from repro.qnn import PatchedQuantumLayer, amplitude_encoder_circuit, patch_qubits
 from repro.quantum import (
     Circuit,
@@ -333,15 +333,17 @@ def bench_sq_ae_training_step(benchmark):
     assert loss > 0
 
 
-# Adam steps per timed call.  One step takes ~3 ms, and on a shared host a
-# round that short is often all noise; ten make each round ~30 ms.
-_ADAM_STEPS = 10
+# Optimizer steps per timed call.  One Adam step takes ~3 ms, and on a
+# shared host a round that short is often all noise; ten make each round
+# ~30 ms (~100 ms for the Linear training steps).
+_STEPS = 10
 
 
 def _linear_with_gradients():
     """The weight (1024 x 256) and bias of one Linear layer after one
     backward: the weight's gradient arrives F-ordered, through the
-    transpose VJP, as it does for every MLP layer in training."""
+    transpose VJP, as it does for every MLP layer in training, and the
+    weight is F-ordered too, as ``Linear`` builds it."""
     rng = np.random.default_rng(5)
     layer = Linear(256, 1024, rng=rng)
     ((layer(Tensor(rng.normal(size=(32, 256)))) - 0.5) ** 2).mean().backward()
@@ -352,14 +354,14 @@ def _linear_with_gradients():
 
 
 def bench_adam_step_1024x256(benchmark):
-    """``_ADAM_STEPS`` in-place Adam steps (chunked ``out=`` ufuncs) on a
+    """``_STEPS`` in-place Adam steps (chunked ``out=`` ufuncs) on a
     1024 x 256 weight and its bias."""
     params = _linear_with_gradients()
     optimizer = Adam(params, lr=0.01)
     weight = params[0].data
 
     def steps():
-        for __ in range(_ADAM_STEPS):
+        for __ in range(_STEPS):
             optimizer.step()
 
     benchmark(steps)
@@ -388,10 +390,49 @@ def bench_adam_step_1024x256_naive(benchmark):
             ).astype(param.data.dtype, copy=False)
 
     def steps():
-        for __ in range(_ADAM_STEPS):
+        for __ in range(_STEPS):
             step()
 
     benchmark(steps)
+
+
+def _linear_train_steps(c_order):
+    """``_STEPS`` training steps of a 1024 -> 256 -> 1024 MLP at batch
+    32: forward, MSE backward and an Adam step.  ``c_order`` copies the
+    weights to C order first, the layout ``Linear`` had before."""
+    rng = np.random.default_rng(8)
+    model = Sequential(Linear(1024, 256, rng=rng), ReLU(),
+                       Linear(256, 1024, rng=rng))
+    if c_order:
+        for layer in (model.layers[0], model.layers[2]):
+            layer.weight.data = np.ascontiguousarray(layer.weight.data)
+    optimizer = Adam(list(model.parameters()), lr=0.01)
+    batch = Tensor(rng.normal(size=(32, 1024)))
+
+    def steps():
+        for __ in range(_STEPS):
+            optimizer.zero_grad()
+            loss = F.mse_loss(model(batch), batch)
+            loss.backward()
+            optimizer.step()
+        return model
+
+    return steps
+
+
+def bench_linear_train_step(benchmark):
+    """Training steps with the weights as built: F-ordered, so ``W.T`` is a
+    view, and the gradient reaches ``Adam`` in the weight's own layout."""
+    model = benchmark(_linear_train_steps(c_order=False))
+    assert model.layers[0].weight.data.flags.f_contiguous
+
+
+def bench_linear_train_step_naive(benchmark):
+    """The same steps on C-ordered weights: every forward copies each
+    weight into a contiguous ``W.T``, and every Adam step transposes each
+    F-ordered gradient back to the weight's C order."""
+    model = benchmark(_linear_train_steps(c_order=True))
+    assert model.layers[0].weight.data.flags.c_contiguous
 
 
 def bench_molecule_scoring(benchmark):

@@ -113,11 +113,21 @@ def git_commit() -> str | None:
     return head.strip() + dirty
 
 
+# Warm-up before the first timed round: at least WARMUP_S of calls, and
+# on until the last two calls agree within a factor SETTLED, for at most
+# WARMUP_CALLS calls or WARMUP_MAX_S.  One call used to be the whole
+# warm-up, and 1-5 ms kernels then timed at ~40 ms for the first 2-3
+# rounds on the 2-CPU host.
+WARMUP_S = 0.25
+SETTLED = 1.25
+WARMUP_CALLS = 1000
+WARMUP_MAX_S = 2.0
+
+
 class TimerShim:
     """Duck-types the pytest-benchmark fixture's ``benchmark(fn)``: runs
-    ``fn`` once as a warmup (which also absorbs one-time plan compilation
-    and caches, so steady-state cost is what gets timed) and keeps it for
-    :func:`time_benchmarks`."""
+    ``fn`` once (which absorbs one-time plan compilation and caches) and
+    keeps it for :func:`time_benchmarks`, which warms it further."""
 
     def __init__(self):
         self.fn = None
@@ -151,13 +161,35 @@ def discover(module, only: str | None, pairs) -> dict:
     return dict(sorted(benches.items()))
 
 
+def warm_up(fn) -> int:
+    """Call ``fn`` until its per-call time settles; return the call count.
+
+    Stops once the calls add up to ``WARMUP_S`` and the last two agree
+    within a factor ``SETTLED``, or after ``WARMUP_CALLS`` calls or
+    ``WARMUP_MAX_S`` seconds, whichever comes first.
+    """
+    spent, last = 0.0, None
+    for calls in range(1, WARMUP_CALLS + 1):
+        start = time.perf_counter()
+        fn()
+        lap = time.perf_counter() - start
+        spent += lap
+        settled = (last is not None
+                   and max(lap, last) <= SETTLED * min(lap, last))
+        if spent >= WARMUP_S and settled or spent >= WARMUP_MAX_S:
+            break
+        last = lap
+    return calls
+
+
 def time_benchmarks(benches: dict, pairs, rounds: int):
     """Time every benchmark; return its stats and every pair's speedup.
 
     Benchmarks linked by ``pairs(names)`` (its ``(measured, baseline)``
-    pairs) form one group, timed round by round: in name order, and in
-    reverse on every other round, so each side of a pair runs first in
-    half the rounds.  Returns ``(results, ratios)``: per benchmark its
+    pairs) form one group.  Each member is warmed (:func:`warm_up`), then
+    the group is timed round by round: in name order, and in reverse on
+    every other round, so each side of a pair runs first in half the
+    rounds.  Returns ``(results, ratios)``: per benchmark its
     min/mean/max seconds over ``rounds``, and per pair the median over
     rounds of baseline time / measured time.
     """
@@ -173,6 +205,7 @@ def time_benchmarks(benches: dict, pairs, rounds: int):
         for name in members:
             shim = TimerShim()
             benches[name](shim)
+            warm_up(shim.fn)
             fns.append(shim.fn)
             laps[name] = []
         order = list(range(len(members)))

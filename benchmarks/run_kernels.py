@@ -4,9 +4,10 @@ The kernel micro-benchmarks in :mod:`bench_kernels` are written against the
 pytest-benchmark fixture API, but tracking a perf trajectory across PRs needs
 a dependency-free, scriptable entry point.  This runner calls every
 ``bench_*`` function through the fixture shim of :mod:`bench_machine`
-(one warmup, then ``--rounds`` timed rounds), derives compiled-vs-naive
-speedups for the benchmarks that have a ``*_naive`` baseline and
-complex64-vs-complex128 speedups for the ``*_c64`` ones, and writes
+(a warm-up until the per-call time settles, then ``--rounds`` timed
+rounds), derives compiled-vs-naive speedups for the benchmarks that have
+a ``*_naive`` baseline and complex64-vs-complex128 speedups for the
+``*_c64`` ones, and writes
 everything to ``BENCH_kernels.json`` at the repo root — the file future
 PRs diff against.  The two sides of each pair run interleaved, round by
 round, and a speedup is the median of the per-round ratios
@@ -71,10 +72,19 @@ SPEEDUP_FLOORS = {
     # In-place chunked Adam steps vs the allocating expression they
     # replaced: 1.40-1.73x over 14 runs at 5 and 15 rounds on the 2-CPU
     # Xeon host, where the allocating steps timed twice read 0.95-1.09x.
+    # Since Linear weights are F-ordered the in-place step no longer
+    # transposes the gradient: 1.48-1.73x over 10 runs at 5 rounds, against
+    # 1.36-1.62x for the C weight in the same interleaved batch.
     # Steps that fell back to full-size temporaries would read ~1.0x here,
     # while repro-quick, whose 0.25 bound lets that loss through, would
     # slow by about a tenth.
     "bench_adam_step_1024x256": 1.2,
+    # Training steps of a 1024-256-1024 MLP with the weights as Linear
+    # builds them (F-ordered) vs C copies, which pay a transposing copy of
+    # each weight in every forward and every Adam step: medians of
+    # 1.81-1.96x over 10 runs at 5 rounds on the 2-CPU Xeon host, 2 BLAS
+    # threads.  A Linear that went back to C weights reads ~1.0x here.
+    "bench_linear_train_step": 1.5,
 }
 
 # Floors for the float32/complex64 precision mode: each ``<name>_c64``

@@ -2,8 +2,9 @@
 
 Same discipline as ``run_kernels.py``: every ``bench_*`` function in
 :mod:`bench_pipeline` runs through the fixture shim of :mod:`bench_machine`
-(one warmup, then ``--rounds`` timed rounds), each ``<name>`` /
-``<name>_reference`` pair runs interleaved round by round and its speedup
+(a warm-up until the per-call time settles, then ``--rounds`` timed
+rounds), each ``<name>`` / ``<name>_reference`` pair runs interleaved
+round by round and its speedup
 is the median of the per-round ratios, and molecules/sec throughput is
 recorded for each stage.  The payload lands in ``BENCH_pipeline.json`` at
 the repo root, stamped with the git commit it was generated at.

@@ -129,12 +129,20 @@ class Module:
 
         The stored floating dtype is preserved (a float32 checkpoint
         rehydrates as float32 parameters); non-float payloads are cast to
-        float64.
+        float64.  Each parameter keeps the memory layout it was built with
+        (``Linear.weight`` stays F-ordered).  Missing and unexpected names
+        and every shape are checked before any parameter is written, so a
+        state that does not fit leaves the module as it was.
         """
         params = dict(self.named_parameters())
         missing = set(params) - set(state)
         if missing:
             raise KeyError(f"state dict missing parameters: {sorted(missing)}")
+        unexpected = set(state) - set(params)
+        if unexpected:
+            raise KeyError(
+                f"state dict has unexpected parameters: {sorted(unexpected)}")
+        values = {}
         for name, param in params.items():
             value = np.asarray(state[name])
             if value.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -143,7 +151,11 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {value.shape} vs {param.data.shape}"
                 )
-            param.data = value.copy()
+            values[name] = value
+        for name, param in params.items():
+            data = np.empty_like(param.data, dtype=values[name].dtype)
+            data[...] = values[name]
+            param.data = data
 
     # -- call -----------------------------------------------------------
     def forward(self, *args, **kwargs):
@@ -159,6 +171,12 @@ class Linear(Module):
     ``dtype`` selects the parameter precision (a real dtype, a policy name,
     or a :class:`~repro.nn.precision.Precision`); None follows the active
     precision policy (float64 by default).
+
+    The weight has shape ``(out_features, in_features)`` but is stored in
+    Fortran order, so ``weight.T`` is a C-contiguous view: the forward GEMM
+    reads it without a transposing copy, and the weight gradient leaves
+    the transpose VJP already in the weight's layout, which ``Adam``
+    updates in place as it is.
     """
 
     def __init__(
@@ -175,10 +193,9 @@ class Linear(Module):
         real = resolve_precision(dtype).real
         self.in_features = in_features
         self.out_features = out_features
+        weight = initializers.kaiming_uniform((out_features, in_features), rng)
         self.weight = Parameter(
-            initializers.kaiming_uniform((out_features, in_features), rng),
-            group=group,
-            dtype=real,
+            np.asfortranarray(weight), group=group, dtype=real
         )
         if bias:
             bound = 1.0 / np.sqrt(in_features)

@@ -55,9 +55,10 @@ class Optimizer:
 
 # Elements per chunk of the in-place Adam update: the moment, parameter
 # and scratch chunks stay in cache through all 14 elementwise ops.  One Adam
-# step with an F-ordered gradient, median ms on one core of a 2-CPU Xeon
-# (4 MiB L2, numpy 2.4.6), 1024 x 256 / 1024 x 1024 weight: 2.8 / 19.5 at
-# 32,768; 3.3 / 20.3 at 8,192; 3.4 / 23.6 unchunked; 4.2 / 33.7 for the
+# step on a C-ordered weight with an F-ordered gradient (so including one
+# transposing copy), median ms on one core of a 2-CPU Xeon (4 MiB L2,
+# numpy 2.4.6), 1024 x 256 / 1024 x 1024 weight: 2.8 / 19.5 at 32,768;
+# 3.3 / 20.3 at 8,192; 3.4 / 23.6 unchunked; 4.2 / 33.7 for the
 # allocating expression.
 _CHUNK = 32_768
 
@@ -65,12 +66,15 @@ _CHUNK = 32_768
 class Adam(Optimizer):
     """Adam (Kingma & Ba) — the paper's optimizer, beta1=0.9, beta2=0.999.
 
-    ``step`` works in place: each parameter keeps flat ``m``/``v`` buffers,
-    and the update is written into ``param.data`` rather than rebinding it,
-    so anything holding a parameter's array (``detach()``,
-    ``Tensor(param.data)``) sees every step; take ``.copy()`` for a
-    snapshot.  A parameter array that is not C-contiguous and writeable is
-    first replaced by a copy that is, once.
+    ``step`` works in place: each parameter keeps ``m``/``v`` buffers laid
+    out like its array, and the update is written into ``param.data``
+    rather than rebinding it, so anything holding a parameter's array
+    (``detach()``, ``Tensor(param.data)``) sees every step; take
+    ``.copy()`` for a snapshot.  The update walks the parameter in memory
+    order, so a C- or F-contiguous array (``Linear.weight`` is F) keeps its
+    layout, and a gradient already in that layout is read without a copy.
+    A strided or read-only parameter array is first replaced by a
+    C-contiguous copy, once.
 
     The result is bit-identical to the allocating expression::
 
@@ -121,27 +125,35 @@ class Adam(Optimizer):
     def _update(self, param: Tensor, key: int, t: int, lr: float,
                 beta1: float, beta2: float, eps: float) -> None:
         data = param.data
-        if not (data.flags.c_contiguous and data.flags.writeable):
-            # reshape(-1) must be a view, or the writes below would be lost.
+        contiguous = data.flags.c_contiguous or data.flags.f_contiguous
+        if not (contiguous and data.flags.writeable):
+            # ravel must give views, or the writes below would be lost.
             data = param.data = np.array(data, order="C")
-        flat = data.reshape(-1)
-        grad = np.ascontiguousarray(param.grad).reshape(-1)
+        order = "C" if data.flags.c_contiguous else "F"
+        # Every array below is the parameter's shape in its layout, so the
+        # K-order ravels are views that pair up element by element.
+        grad = np.asarray(param.grad, order=order)
         m_old = self._m.get(key)
         if m_old is None:
             # Zero moments, so ``beta * 0 + x`` keeps the reference's
             # signed zeros.
-            dtype = np.result_type(flat, grad)
-            m_old = np.zeros(flat.size, dtype)
-            v_old = np.zeros(flat.size, dtype)
+            dtype = np.result_type(data, grad)
+            m_old = np.zeros_like(data, dtype)
+            v_old = np.zeros_like(data, dtype)
         else:
-            dtype = np.result_type(flat, grad, m_old)
-            v_old = self._v[key]
+            # No-ops unless ``param.data`` was rebound to the other layout.
+            m_old = np.asarray(m_old, order=order)
+            v_old = np.asarray(self._v[key], order=order)
+            dtype = np.result_type(data, grad, m_old)
         m, v = m_old, v_old
         if dtype != m_old.dtype:
             # A wider gradient widens the moments; ``beta * m`` still runs
             # at the old width, in the old buffer.
-            m, v = np.empty(flat.size, dtype), np.empty(flat.size, dtype)
+            m, v = np.empty_like(data, dtype), np.empty_like(data, dtype)
         self._m[key], self._v[key] = m, v
+        flat, grad = data.ravel(order="K"), grad.ravel(order="K")
+        m_old, v_old = m_old.ravel(order="K"), v_old.ravel(order="K")
+        m, v = m.ravel(order="K"), v.ravel(order="K")
         # The gradient terms run at the gradient's width.  When that is the
         # moments' width, ``gs`` and ``a`` are one buffer: ``gs`` is done
         # with before ``a`` is written.

@@ -6,12 +6,15 @@ them into a freshly constructed module of the same architecture.  This is
 the reproduction's checkpoint format — no pickle, so checkpoints are
 portable and safe to share.
 
-Parameter dtype round-trips: ``.npz`` stores each array verbatim and
+Parameter dtype round-trips: ``.npz`` stores each array at its dtype and
 ``load_state_dict`` preserves the stored floating dtype, so a ``float32``
 checkpoint rehydrates as ``float32`` parameters (it used to be silently
-widened to ``float64``).  Note that a layer's *execution* precision is
-fixed at construction — to run a float32 checkpoint at complex64, build
-the target module with ``dtype="float32"`` before loading.
+widened to ``float64``).  Memory layout does not: every array is stored
+C-ordered, and ``load_state_dict`` copies it into the layout its parameter
+was built with (an F-ordered ``Linear.weight`` stays F), so a checkpoint's
+bytes never depend on layout.  Note that a layer's *execution* precision
+is fixed at construction — to run a float32 checkpoint at complex64,
+build the target module with ``dtype="float32"`` before loading.
 """
 
 from __future__ import annotations
@@ -68,12 +71,17 @@ def save_module(module: Module, path: str | Path, metadata: dict | None = None
                 ) -> Path:
     """Write all parameters (and JSON-serializable metadata) to ``path``.
 
-    The ``.npz`` suffix is appended if missing.  Returns the final path.
+    Every array is stored C-ordered, so an F-ordered ``Linear.weight``
+    writes the same bytes as a C copy of it would.  The ``.npz`` suffix is
+    appended if missing.  Returns the final path.
     """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
-    arrays = {name: param.data for name, param in module.named_parameters()}
+    # C order keeps every member ``fortran_order: False`` whatever the
+    # parameter's layout, so a checkpoint's bytes do not depend on it.
+    arrays = {name: np.ascontiguousarray(param.data)
+              for name, param in module.named_parameters()}
     if _META_KEY in arrays:
         raise ValueError(f"parameter name {_META_KEY!r} is reserved")
     meta = dict(metadata or {})

@@ -663,6 +663,9 @@ class Tensor:
         # operand's row count, so ``x @ W.T`` on a transposed view is not
         # row-count-independent.  Serving stacks requests into one pass
         # and must return bit-identical rows to per-request execution.
+        # A general tensor pays a copy here; a ``Linear`` weight is stored
+        # F-ordered, so its transpose already is C-contiguous and passes
+        # through as a view of the weight.
         return _record(
             _transpose_p,
             np.ascontiguousarray(self.data.transpose(axes)),

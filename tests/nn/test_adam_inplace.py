@@ -74,8 +74,8 @@ def assert_states_match(adam, reference, pairs):
         if id(twin) not in reference._m:
             assert id(param) not in adam._m
             continue
-        assert_same(adam._m[id(param)], reference._m[id(twin)].reshape(-1))
-        assert_same(adam._v[id(param)], reference._v[id(twin)].reshape(-1))
+        assert_same(adam._m[id(param)], reference._m[id(twin)])
+        assert_same(adam._v[id(param)], reference._v[id(twin)])
 
 
 def twin_params(shapes, dtype, seed=0):
@@ -201,15 +201,86 @@ class TestMatchesReference:
         twins[1].data.flags.writeable = False
         adam, reference = Adam(params, lr=0.1), ReferenceAdam(twins, lr=0.1)
         pairs = list(zip(params, twins))
+        fortran, read_only = params[0].data, params[1].data
         before = [p.data.copy() for p in params]
         rng = np.random.default_rng(7)
         for __ in range(STEPS):
             step_both(adam, reference, pairs,
                       [rng.normal(size=s).astype(gdtype) for s in shapes])
             assert_states_match(adam, reference, pairs)
+        # The F array is updated in place; the read-only one is replaced by
+        # a writeable C copy.
+        assert params[0].data is fortran
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert params[1].data is not read_only
+        assert params[1].data.flags.c_contiguous
         for param, start in zip(params, before):
-            assert param.data.flags.c_contiguous and param.data.flags.writeable
+            assert param.data.flags.writeable
             assert not np.array_equal(param.data, start)
+
+    @pytest.mark.parametrize("grad_order", ["F", "C"])
+    def test_f_ordered_parameter_with_each_gradient_order(self, precision,
+                                                          grad_order):
+        pdtype, gdtype = DTYPES[precision]
+        shapes = [(3 * _CHUNK // 64 + 3, 64)]
+        params, twins = twin_params(shapes, pdtype)
+        fortran = params[0].data = np.asfortranarray(params[0].data)
+        twins[0].data = np.asfortranarray(twins[0].data)
+        adam, reference = Adam(params, lr=0.1), ReferenceAdam(twins, lr=0.1)
+        pairs = list(zip(params, twins))
+        rng = np.random.default_rng(11)
+        for __ in range(STEPS):
+            grad = np.asarray(rng.normal(size=shapes[0]).astype(gdtype),
+                              order=grad_order)
+            step_both(adam, reference, pairs, [grad])
+            assert_states_match(adam, reference, pairs)
+            assert params[0].data is fortran
+            assert adam._m[id(params[0])].flags.f_contiguous
+
+    def test_parameter_rebound_to_the_other_layout_between_steps(
+            self, precision):
+        # ``param.data = param.data.copy()`` turns an F weight C.  The
+        # moments follow the new layout, so each still pairs with its
+        # own element.
+        pdtype, gdtype = DTYPES[precision]
+        shapes = [(9, 7)]
+        params, twins = twin_params(shapes, pdtype)
+        params[0].data = np.asfortranarray(params[0].data)
+        adam, reference = Adam(params, lr=0.1), ReferenceAdam(twins, lr=0.1)
+        pairs = list(zip(params, twins))
+        rng = np.random.default_rng(13)
+        for i in range(STEPS):
+            if i == 3:
+                params[0].data = params[0].data.copy()
+                assert params[0].data.flags.c_contiguous
+            step_both(adam, reference, pairs,
+                      [rng.normal(size=shapes[0]).astype(gdtype)])
+            assert_states_match(adam, reference, pairs)
+
+    @pytest.mark.parametrize("kind", ["strided", "read_only"])
+    def test_strided_or_read_only_parameter_becomes_one_c_copy(
+            self, precision, kind):
+        pdtype, gdtype = DTYPES[precision]
+        params, twins = twin_params([(8, 6)], pdtype)
+        if kind == "strided":
+            params[0].data = np.ones((8, 12), pdtype)[:, ::2]
+            params[0].data[...] = twins[0].data
+        else:
+            params[0].data.flags.writeable = False
+        original = params[0].data
+        adam, reference = Adam(params, lr=0.1), ReferenceAdam(twins, lr=0.1)
+        pairs = list(zip(params, twins))
+        rng = np.random.default_rng(12)
+        arrays = []
+        for __ in range(STEPS):
+            step_both(adam, reference, pairs,
+                      [rng.normal(size=(8, 6)).astype(gdtype)])
+            assert_states_match(adam, reference, pairs)
+            arrays.append(params[0].data)
+        copy = arrays[0]
+        assert copy is not original
+        assert copy.flags.c_contiguous and copy.flags.writeable
+        assert all(array is copy for array in arrays)
 
     def test_numpy_scalar_hyperparameters_act_as_python_floats(self,
                                                               precision):

@@ -78,6 +78,35 @@ class TestModuleSystem:
         with pytest.raises(ValueError):
             model.load_state_dict(state)
 
+    def test_load_state_dict_unexpected_key_is_named(self):
+        model = Sequential(Linear(2, 2))
+        state = model.state_dict()
+        state["1.weight"] = np.zeros((2, 2))
+        with pytest.raises(KeyError, match=r"unexpected.*'1\.weight'"):
+            model.load_state_dict(state)
+
+    @pytest.mark.parametrize("fault", ["missing", "unexpected", "shape"])
+    def test_failed_load_writes_no_parameter(self, fault):
+        # The shape fault sits in the last layer, so a load that wrote
+        # as it checked would already have overwritten layer 0.
+        rng = np.random.default_rng(4)
+        model = Sequential(Linear(3, 4, rng=rng), Linear(4, 2, rng=rng))
+        state = {name: value + 1.0
+                 for name, value in model.state_dict().items()}
+        if fault == "missing":
+            del state["1.bias"]
+        elif fault == "unexpected":
+            state["2.weight"] = np.zeros((2, 2))
+        else:
+            state["1.weight"] = np.zeros((2, 5))
+        arrays = {name: p.data for name, p in model.named_parameters()}
+        values = {name: a.copy() for name, a in arrays.items()}
+        with pytest.raises(KeyError if fault != "shape" else ValueError):
+            model.load_state_dict(state)
+        for name, param in model.named_parameters():
+            assert param.data is arrays[name]
+            assert (param.data == values[name]).all()
+
     def test_parameter_groups(self):
         class Hybrid(Module):
             def __init__(self):

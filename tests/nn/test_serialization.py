@@ -50,6 +50,32 @@ class TestSaveLoad:
         with pytest.raises((KeyError, ValueError)):
             load_module(wrong, path)
 
+    @pytest.mark.parametrize("family", ["classical", "sq"])
+    def test_vae_checkpoint_into_its_ae_is_refused(self, tmp_path, family):
+        # The AE has every VAE parameter but the two heads; a load that
+        # only checked for missing names dropped them silently.
+        from repro.models import (
+            ClassicalAE,
+            ClassicalVAE,
+            ScalableQuantumAE,
+            ScalableQuantumVAE,
+        )
+
+        if family == "classical":
+            vae, ae = (cls(input_dim=16, latent_dim=3, hidden_dims=(8,),
+                           rng=np.random.default_rng(0))
+                       for cls in (ClassicalVAE, ClassicalAE))
+        else:
+            vae, ae = (cls(input_dim=16, n_patches=2, n_layers=1,
+                           rng=np.random.default_rng(0))
+                       for cls in (ScalableQuantumVAE, ScalableQuantumAE))
+        path = save_module(vae, tmp_path / "vae")
+        before = module_fingerprint(ae)
+        with pytest.raises(KeyError, match="mu_head.*logvar_head|"
+                                           "logvar_head.*mu_head"):
+            load_module(ae, path)
+        assert module_fingerprint(ae) == before
+
     def test_quantum_model_roundtrip(self, tmp_path):
         from repro.models import ScalableQuantumAE
 

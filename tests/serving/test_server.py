@@ -491,6 +491,36 @@ class TestWireCheckpoint:
             srv.server_close()
             service.close()
 
+    @pytest.mark.parametrize("case", ["vae_arrays_as_ae",
+                                      "wrong_latent_dim"])
+    def test_arrays_that_do_not_match_the_metadata(self, tree_server,
+                                                   checkpoint_tree, case):
+        # A VAE's arrays under AE metadata used to load with the two heads
+        # dropped and answer ``ok``; a latent width the arrays do not have
+        # failed on shape.  Both are one bad_request, and nothing joins
+        # the registry.
+        metadata = {"model": "vae", "input_dim": 64, "n_patches": 4,
+                    "n_layers": 3, "latent_dim": 6, "seed": 9}
+        if case == "vae_arrays_as_ae":
+            metadata["model"] = "ae"
+        else:
+            metadata["latent_dim"] = 5
+        path = save_module(
+            ClassicalVAE(input_dim=64, latent_dim=6,
+                         rng=np.random.default_rng(9)),
+            checkpoint_tree["root"] / "served" / f"mismatch_{case}",
+            metadata=metadata,
+        )
+        reply = tree_server.respond(json.dumps(
+            {"kind": "encode", "features": np.ones((1, 64)).tolist(),
+             "checkpoint": str(path)}).encode())
+        assert_one_reply(reply)
+        response = json.loads(reply)
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+        assert tree_server.opened == [str(path)]
+        assert len(tree_server.service.registry) == 1
+
     def test_in_process_api_is_not_confined(self, tree_server,
                                             checkpoint_tree):
         latents = tree_server.service.encode(

@@ -4,9 +4,11 @@ micro-batched execution must return results identical — plain ``==``,
 not allclose — to sequential per-request execution.  This holds because
 (a) each sample request's latents come from its own seeded stream exactly
 as ``model.sample`` draws them, (b) stacked passes are row-independent
-(``Tensor.transpose`` materializes contiguously so the GEMM kernel choice
-cannot vary with row count), and (c) scoring is per-row math under the
-padding-exactness contract of :mod:`repro.chem.batch`.
+(every GEMM operand is contiguous, so the kernel choice cannot vary with
+row count: ``Linear`` stores its weight F-ordered, which makes ``W.T`` a
+C-contiguous view, and ``Tensor.transpose`` materializes any other
+transpose), and (c) scoring is per-row math under the padding-exactness
+contract of :mod:`repro.chem.batch`.
 """
 
 import numpy as np
