@@ -3,7 +3,7 @@
 These are proper multi-round pytest benchmarks (unlike the one-shot
 experiment reproductions): statevector gate application, full circuit
 execution, adjoint backward, parameter-shift (for the cost comparison the
-adjoint method wins), patched-layer forward, stacked-vs-sequential patched
+adjoint method wins), patched-layer forward, stacked-vs-per-patch patched
 forward+backward training passes, and molecule scoring.
 """
 
@@ -195,7 +195,7 @@ def bench_patched_encoder_forward_1024(benchmark):
     """Full patched encoder (p=4) on a 1024-feature batch."""
     rng = np.random.default_rng(3)
     layer = PatchedQuantumLayer(
-        lambda i: amplitude_encoder_circuit(8, 256, 5, zero_fallback=True),
+        amplitude_encoder_circuit(8, 256, 5, zero_fallback=True),
         n_patches=4,
         rng=rng,
     )
@@ -209,9 +209,7 @@ def _patched_encoder(n_patches, batch=32, dtype=None):
     rng = np.random.default_rng(5)
     qubits = patch_qubits(1024, n_patches)
     layer = PatchedQuantumLayer(
-        lambda i: amplitude_encoder_circuit(
-            qubits, 1024 // n_patches, 5, zero_fallback=True
-        ),
+        amplitude_encoder_circuit(qubits, 1024 // n_patches, 5, zero_fallback=True),
         n_patches=n_patches,
         rng=rng,
         dtype=dtype,
@@ -224,25 +222,39 @@ def _patched_encoder(n_patches, batch=32, dtype=None):
     return layer, x
 
 
-def _patched_step(layer, x, forward=None):
-    """One forward + backward through ``forward`` (the layer itself, i.e.
-    its stacked pass, by default)."""
-    forward = layer if forward is None else forward
+def _patched_step(layer, x):
+    """One forward + backward through the layer's stacked pass."""
 
     def step():
         layer.zero_grad()
         x.zero_grad()
-        out = forward(x)
+        out = layer(x)
         out.sum().backward()
         return out
 
     return step
 
 
-def _sequential_step(layer, x):
-    """The same pass on the per-patch loop, called directly: identical
-    patches always stack, so nothing else selects it."""
-    return _patched_step(layer, x, layer._forward_sequential)
+def _per_patch_step(layer, x):
+    """The same pass as one ``QuantumLayer`` call per patch slice: the
+    ``p`` engine invocations the stacked pass replaces.  Returns the
+    concatenated outputs."""
+    width = layer.inputs_per_patch
+
+    def step():
+        layer.zero_grad()
+        x.zero_grad()
+        outs = [
+            patch(x[:, k * width : (k + 1) * width])
+            for k, patch in enumerate(layer.patches)
+        ]
+        total = outs[0].sum()
+        for out in outs[1:]:
+            total = total + out.sum()
+        total.backward()
+        return np.concatenate([out.data for out in outs], axis=1)
+
+    return step
 
 
 def bench_patched_fwd_bwd_p8(benchmark):
@@ -254,10 +266,10 @@ def bench_patched_fwd_bwd_p8(benchmark):
 
 
 def bench_patched_fwd_bwd_p8_naive(benchmark):
-    """The same p=8 forward + backward on the sequential per-patch loop —
-    the pre-stacking baseline the stacked speedup is measured against."""
+    """The same p=8 forward + backward as one ``QuantumLayer`` call per
+    patch — the baseline the stacked speedup is measured against."""
     layer, x = _patched_encoder(8)
-    out = benchmark(_sequential_step(layer, x))
+    out = benchmark(_per_patch_step(layer, x))
     assert out.shape == (32, 56)
 
 
@@ -270,9 +282,9 @@ def bench_patched_fwd_bwd_p16(benchmark):
 
 
 def bench_patched_fwd_bwd_p16_naive(benchmark):
-    """The same p=16 forward + backward on the sequential per-patch loop."""
+    """The same p=16 forward + backward, one call per patch."""
     layer, x = _patched_encoder(16)
-    out = benchmark(_sequential_step(layer, x))
+    out = benchmark(_per_patch_step(layer, x))
     assert out.shape == (32, 96)
 
 
@@ -286,9 +298,9 @@ def bench_patched_fwd_bwd_p8_b8(benchmark):
 
 
 def bench_patched_fwd_bwd_p8_b8_naive(benchmark):
-    """The same p=8 minibatch-8 pass on the sequential per-patch loop."""
+    """The same p=8 minibatch-8 pass, one call per patch."""
     layer, x = _patched_encoder(8, batch=8)
-    out = benchmark(_sequential_step(layer, x))
+    out = benchmark(_per_patch_step(layer, x))
     assert out.shape == (8, 56)
 
 

@@ -60,8 +60,7 @@ def bench_patched_encoder_by_patch_count(benchmark, patches):
     qubits = patch_qubits(1024, patches)
     rng = np.random.default_rng(patches)
     layer = PatchedQuantumLayer(
-        lambda i: amplitude_encoder_circuit(qubits, 1024 // patches, 5,
-                                            zero_fallback=True),
+        amplitude_encoder_circuit(qubits, 1024 // patches, 5, zero_fallback=True),
         n_patches=patches,
         rng=rng,
     )

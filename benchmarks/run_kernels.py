@@ -59,13 +59,12 @@ SPEEDUP_FLOORS = {
     # stacked substrate at p=1) vs the per-parameter generator reference,
     # at the issue's gate geometry: n=8, 3-layer Rot+ring.
     "bench_compiled_adjoint_unified": 1.5,
-    # Stacked-vs-sequential floors: the sequential per-patch baseline now
-    # runs the same unified transition-matrix backward per patch, so the
-    # stacked win is amortized invocation overhead (~2.3x measured at
-    # p16/p8_b8) rather than the pre-unification ~3.7-5.9x over the old
-    # generator-insertion loop.  The regression these floors catch — the
-    # layer silently falling back to the sequential loop — shows up as
-    # ~1.0x, far below them.
+    # Stacked-vs-per-patch floors: the baseline calls each patch's
+    # QuantumLayer on its own input slice, p engine calls running the same
+    # transition-matrix backward, so the stacked win is amortized
+    # invocation overhead (~2.3x measured at p16/p8_b8).  A patched layer
+    # that went back to one engine call per patch would read ~1.0x, far
+    # below these floors.
     "bench_patched_fwd_bwd_p8": 1.2,
     "bench_patched_fwd_bwd_p8_b8": 1.8,
     "bench_patched_fwd_bwd_p16": 1.8,

@@ -324,10 +324,7 @@ def _cmd_draw(args) -> int:
     model = build_model(args.model, input_dim, args.patches,
                         args.layers or 3, 6, args.seed)
     if hasattr(model, "encoder_q"):
-        encoder = model.encoder_q
-        circuit = (encoder.patches[0].circuit
-                   if hasattr(encoder, "patches") else encoder.circuit)
-        print(draw(circuit, max_columns=args.columns))
+        print(draw(model.encoder_q.circuit, max_columns=args.columns))
     else:
         raise SystemExit(f"{args.model} has no quantum encoder to draw")
     return 0

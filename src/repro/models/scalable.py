@@ -62,7 +62,7 @@ class ScalableQuantumAE(Autoencoder):
         per_patch_features = input_dim // n_patches
 
         self.encoder_q = PatchedQuantumLayer(
-            lambda i: amplitude_encoder_circuit(
+            amplitude_encoder_circuit(
                 qubits, per_patch_features, n_layers, zero_fallback=True
             ),
             n_patches=n_patches,
@@ -70,7 +70,7 @@ class ScalableQuantumAE(Autoencoder):
             dtype=precision,
         )
         self.decoder_q = PatchedQuantumLayer(
-            lambda i: angle_expval_circuit(qubits, qubits, n_layers),
+            angle_expval_circuit(qubits, qubits, n_layers),
             n_patches=n_patches,
             rng=rng,
             dtype=precision,

@@ -9,18 +9,7 @@ Public surface::
 from . import autodiff
 from . import functional
 from . import init
-from .modules import (
-    Identity,
-    Lambda,
-    Linear,
-    Module,
-    ModuleList,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-)
+from .modules import Linear, Module, ModuleList, Parameter, ReLU, Sequential
 from .optim import Adam, Optimizer, heterogeneous_adam
 from .precision import (
     FLOAT32,
@@ -44,10 +33,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
-    "Lambda",
     "Sequential",
     "ModuleList",
     "Optimizer",

@@ -90,8 +90,8 @@ class Primitive:
     ``vjps`` is a per-argnum tuple of functions ``vjp(g, ans, operands,
     params) -> grad``; ``vjp_all`` (exclusive with ``vjps``) computes every
     requested argnum in one call — used where one engine invocation serves
-    all operands (quantum adjoints) or where shared work should happen once
-    (stack/concatenate).  ``g``, ``ans`` and ``operands`` are raw arrays.
+    all operands (the quantum adjoint).  ``g``, ``ans`` and ``operands``
+    are raw arrays.
     """
 
     __slots__ = ("name", "vjps", "vjp_all")

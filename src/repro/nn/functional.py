@@ -11,38 +11,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = [
-    "relu",
-    "sigmoid",
-    "tanh",
-    "softplus",
-    "mse_loss",
-    "l1_loss",
-    "bce_loss",
-    "gaussian_kl",
-    "softmax",
-    "log_softmax",
-]
-
-
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    return x.tanh()
-
-
-def softplus(x: Tensor) -> Tensor:
-    """Numerically-stable softplus log(1 + e^x) = max(x,0) + log1p(e^-|x|)."""
-    return x.relu() + ((-x.abs()).exp() + 1.0).log()
+__all__ = ["mse_loss", "gaussian_kl"]
 
 
 def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
@@ -50,21 +19,6 @@ def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Ten
     diff = prediction - _as_tensor(target)
     squared = diff * diff
     return _reduce(squared, reduction)
-
-
-def l1_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    """Mean absolute error."""
-    return _reduce((prediction - _as_tensor(target)).abs(), reduction)
-
-
-def bce_loss(
-    prediction: Tensor, target: Tensor, eps: float = 1e-12, reduction: str = "mean"
-) -> Tensor:
-    """Binary cross entropy on probabilities in (0, 1)."""
-    target = _as_tensor(target)
-    pred = prediction.clip(eps, 1.0 - eps)
-    loss = -(target * pred.log() + (1.0 - target) * (1.0 - pred).log())
-    return _reduce(loss, reduction)
 
 
 def gaussian_kl(mu: Tensor, logvar: Tensor, reduction: str = "mean") -> Tensor:
@@ -75,19 +29,6 @@ def gaussian_kl(mu: Tensor, logvar: Tensor, reduction: str = "mean") -> Tensor:
     """
     per_sample = (mu * mu + logvar.exp() - logvar - 1.0).sum(axis=-1) * 0.5
     return _reduce(per_sample, reduction)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` with the max-subtraction stabilization."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log of the softmax, computed stably."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def _as_tensor(value) -> Tensor:

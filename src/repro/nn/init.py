@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "xavier_uniform",
-    "kaiming_uniform",
-    "uniform",
-    "normal",
-    "zeros",
-    "fresh_rng",
-]
+__all__ = ["kaiming_uniform", "uniform", "fresh_rng"]
 
 # Root of the default-initialization entropy tree.  ``spawn`` advances an
 # internal child counter, so successive fresh_rng() calls hand out distinct,
@@ -41,13 +34,6 @@ def fresh_rng(rng: np.random.Generator | None = None) -> np.random.Generator:
     return np.random.default_rng(_DEFAULT_SEED_ROOT.spawn(1)[0])
 
 
-def xavier_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform init: U(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform init suited to ReLU networks: U(-a, a), a = sqrt(6/fan_in)."""
     fan_in, _ = _fans(shape)
@@ -58,16 +44,6 @@ def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
 def uniform(shape: tuple, rng: np.random.Generator, low: float, high: float) -> np.ndarray:
     """Plain uniform init over [low, high)."""
     return rng.uniform(low, high, size=shape)
-
-
-def normal(shape: tuple, rng: np.random.Generator, std: float = 1.0) -> np.ndarray:
-    """Zero-mean Gaussian init with the given standard deviation."""
-    return rng.normal(0.0, std, size=shape)
-
-
-def zeros(shape: tuple, rng: np.random.Generator | None = None) -> np.ndarray:
-    """All-zeros init (used for biases)."""
-    return np.zeros(shape)
 
 
 def _fans(shape: tuple) -> tuple[int, int]:

@@ -8,7 +8,7 @@ the optimizer uses to apply the paper's heterogeneous learning rates.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,10 +21,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
-    "Lambda",
     "Sequential",
     "ModuleList",
 ]
@@ -222,38 +218,6 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Sigmoid(Module):
-    """Elementwise logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    """Elementwise hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Identity(Module):
-    """Pass-through module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class Lambda(Module):
-    """Wrap an arbitrary tensor function as a module (for simple glue)."""
-
-    def __init__(self, fn: Callable[[Tensor], Tensor]):
-        super().__init__()
-        self.fn = fn
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.fn(x)
 
 
 class Sequential(Module):

@@ -12,10 +12,10 @@ Design notes
 ------------
 * **Tape + VJP registry, not per-op closures.**  Every operation is a
   registered :class:`~repro.nn.autodiff.Primitive` whose vector-Jacobian
-  products live in a module-level table (``defvjp`` /``defvjp_all``) —
+  products live in a module-level table (``defvjp`` / ``defvjp_all``) —
   one entry per op instead of a closure allocated per call.  Forward
   methods compute the result array (plus any forward-time constants such
-  as activation masks or concat offsets) and record a single ``Node``;
+  as activation masks or index keys) and record a single ``Node``;
   one generic topological walk in :mod:`repro.nn.autodiff` drives every
   backward, classical or quantum.  Quantum layers join the same tape by
   recording their engine adjoints as custom VJPs (``tape_record``).
@@ -45,8 +45,6 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .autodiff import (
@@ -54,7 +52,6 @@ from .autodiff import (
     Primitive,
     backward_pass,
     defvjp,
-    defvjp_all,
     is_grad_enabled,
     no_grad,
 )
@@ -338,30 +335,6 @@ def _getitem_vjp(g, ans, operands, params):
 
 _getitem_p = Primitive("getitem")
 defvjp(_getitem_p, _getitem_vjp)
-
-
-def _concat_vjp_all(g, ans, operands, params, argnums):
-    axis, offsets = params["axis"], params["offsets"]
-    nd = g.ndim
-    grads = []
-    for k in argnums:
-        index = [slice(None)] * nd
-        index[axis] = slice(offsets[k], offsets[k + 1])
-        grads.append(g[tuple(index)])
-    return grads
-
-
-_concat_p = Primitive("concatenate")
-defvjp_all(_concat_p, _concat_vjp_all)
-
-
-def _stack_vjp_all(g, ans, operands, params, argnums):
-    moved = np.moveaxis(g, params["axis"], 0)
-    return [moved[k] for k in argnums]
-
-
-_stack_p = Primitive("stack")
-defvjp_all(_stack_p, _stack_vjp_all)
 
 
 class Tensor:
@@ -683,30 +656,6 @@ class Tensor:
             self.data[key],
             (self,),
             {"key": key, "shape": self.data.shape, "dtype": self.data.dtype},
-        )
-
-    @staticmethod
-    def concatenate(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = tuple(tensors)
-        datas = [t.data for t in tensors]
-        offsets = [0]
-        for d in datas:
-            offsets.append(offsets[-1] + d.shape[axis])
-        return _record(
-            _concat_p,
-            np.concatenate(datas, axis=axis),
-            tensors,
-            {"axis": axis, "offsets": offsets},
-        )
-
-    @staticmethod
-    def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = tuple(tensors)
-        return _record(
-            _stack_p,
-            np.stack([t.data for t in tensors], axis=axis),
-            tensors,
-            {"axis": axis},
         )
 
     # ------------------------------------------------------------------

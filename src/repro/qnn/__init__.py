@@ -1,4 +1,11 @@
-"""Quantum-classical bridge: circuits as differentiable network modules."""
+"""Quantum-classical bridge: circuits as differentiable network modules.
+
+One tape primitive (:func:`repro.qnn.qlayer.quantum_execute`) runs every
+quantum layer: :class:`QuantumLayer` is its ``p = 1`` call, and
+:class:`PatchedQuantumLayer` runs ``p`` weight vectors of one shared
+circuit (Section III-C's patches) through it as one stacked pass.  The
+circuit builders the models use live in :mod:`repro.qnn.circuits`.
+"""
 
 from .circuits import (
     amplitude_encoder_circuit,

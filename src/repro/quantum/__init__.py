@@ -41,15 +41,18 @@ The pre-compilation op-by-op interpreter survives as ``naive_execute`` /
 ``naive_backward``, the reference implementation that the compiled engine is
 property-tested against and benchmarked from.
 
-``p`` structurally identical circuit instances (the patched encoder's
-sub-circuits) execute as one stacked ``(p * batch, 2**n)`` pass through the
-same plan via :func:`~repro.quantum.autodiff.execute_stacked` /
+``p`` weight bindings of one circuit (the patched encoder's sub-circuits)
+execute as one stacked ``(p * batch, 2**n)`` pass through the same plan via
+:func:`~repro.quantum.autodiff.execute_stacked` /
 :func:`~repro.quantum.autodiff.backward_stacked`: weight-sourced gates bind
 per patch and broadcast along the outermost state axis, adjacent dense runs
 merge into 4x4 kron blocks, consecutive permutations compose into single
 gathers, and one adjoint walk — one transition-matrix contraction per dense
 block — returns every instance's gradients.  A single circuit is the
 ``p = 1`` stack: :func:`execute` / :func:`backward` make exactly that call.
+The hybrid layers of :mod:`repro.qnn` record one tape primitive around
+``execute_stacked`` / ``backward_stacked``, at ``p = 1`` for a single
+circuit.
 
 The rest of the package is the exact statevector primitives the engine is
 tested against (:mod:`~repro.quantum.state`, :mod:`~repro.quantum.gates`),

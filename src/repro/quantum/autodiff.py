@@ -26,12 +26,11 @@ op-by-op interpreter is kept as :func:`naive_execute` /
 property-tested against, and the baseline the kernel benchmarks measure
 speedups from.
 
-These four entry points are also what the hybrid layers register as tape
-VJPs: :mod:`repro.qnn.qlayer` and :mod:`repro.qnn.patched` record
-executions as :class:`repro.nn.autodiff.Primitive` nodes whose first-order
-backward is :func:`backward` / :func:`backward_stacked` on the returned
-cache, making the quantum adjoint one more table entry in the classical
-autodiff registry.
+The hybrid layers call the stacked pair directly: the one tape primitive
+of :mod:`repro.qnn.qlayer` records :func:`execute_stacked` as a
+:class:`repro.nn.autodiff.Primitive` node whose first-order backward is
+:func:`backward_stacked` on the returned cache, making the quantum adjoint
+one more table entry in the classical autodiff registry.
 
 Both measurement types the paper uses are diagonal in the computational
 basis (Pauli-Z expectations and basis probabilities), so the cotangent seed

@@ -10,7 +10,10 @@ object per line in each direction, arrays as nested lists.  Requests::
 
 ``count`` and ``seed`` must be JSON integers (a float, boolean or string
 is not coerced), ``count`` lies in 1..``service.MAX_SAMPLE_COUNT``,
-``seed`` is non-negative, and every array value must be finite.  Each of
+``seed`` is non-negative, a ``score`` stack holds at most
+``MAX_SAMPLE_COUNT`` matrices of side at most 32
+(``repro.data.PDBBIND_MATRIX_SIZE``), and every array value must be
+finite.  Each of
 these is checked before the request is queued, so a bad request fails
 alone, never the batch it would have been fused into.
 

@@ -39,6 +39,7 @@ from ..chem.batch import (
     sanitize_batch,
 )
 from ..chem.metrics import normalized_logp_batch, normalized_sa_batch
+from ..data.pdbbind import PDBBIND_MATRIX_SIZE
 from ..evaluation.sampling import decode_latents, prior_latents
 from ..nn.tensor import Tensor, no_grad
 from .batcher import MicroBatcher, ServingError
@@ -223,8 +224,22 @@ class GenerationService:
                 f"expected a (n, size, size) matrix stack, got "
                 f"{matrices.shape}"
             )
+        # Sanitizing a matrix costs far more than linear time in its side,
+        # so one oversized line would hold the worker for minutes and expire
+        # every request queued behind it.  No dataset or model produces a
+        # side above PDBBIND_MATRIX_SIZE.
+        n, size = matrices.shape[:2]
+        if size > PDBBIND_MATRIX_SIZE:
+            raise ValueError(
+                f"matrices must be at most {PDBBIND_MATRIX_SIZE} x "
+                f"{PDBBIND_MATRIX_SIZE}, got {size} x {size}"
+            )
+        if n > MAX_SAMPLE_COUNT:
+            raise ValueError(
+                f"matrices may hold at most {MAX_SAMPLE_COUNT} rows, got {n}"
+            )
         _require_finite(matrices, "matrices")
-        return ("score", matrices.shape[1]), matrices
+        return ("score", size), matrices
 
     # ------------------------------------------------------------------
     # Batched execution (worker thread: one stacked pass per group)

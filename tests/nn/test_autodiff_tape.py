@@ -16,8 +16,10 @@ import pytest
 import repro.nn
 from repro.nn import Adam, Tensor, is_grad_enabled, no_grad
 from repro.nn.functional import mse_loss
-from repro.nn.modules import Linear, Sequential, Tanh
+from repro.nn.autodiff import Primitive, defvjp_all
+from repro.nn.modules import Linear, ReLU, Sequential
 from repro.nn.precision import resolve_precision, use_precision
+from repro.nn.tensor import tape_record
 
 
 def numeric_grad(fn, x0, eps=1e-6):
@@ -447,8 +449,7 @@ class TestStructuralOps:
             h = (x + b) * s
             u = h.sum(axis=0, keepdims=True) + h.max(axis=1, keepdims=True)
             v = u.reshape((-1,))[2:5]
-            w = Tensor.concatenate([v, v * 2.0], axis=0)
-            t = Tensor.stack([w, -w], axis=0)
+            t = v.reshape((3, 1)) * Tensor([[1.0, -2.0]])
             return (t.transpose((1, 0)) ** 2).sum()
 
         assert_walk_matches_fd(fn, arrays)
@@ -631,8 +632,8 @@ INDEX_KEYS = {
 
 
 class TestReductionsAndIndexing:
-    """Reduction, indexing, stacking and concatenation VJPs under a
-    random cotangent, so every output entry carries its own weight."""
+    """Reduction and indexing VJPs under a random cotangent, so every
+    output entry carries its own weight."""
 
     @staticmethod
     def _weighted(out_fn, shape, seed=0):
@@ -655,27 +656,49 @@ class TestReductionsAndIndexing:
         fn, x = self._weighted(lambda t: t[key], (5, 4))
         assert_walk_matches_fd(fn, [x])
 
-    @pytest.mark.parametrize("axis", [0, 1, -1])
-    def test_stack_skips_constant_operands(self, axis):
-        rng = np.random.default_rng(1)
-        c = Tensor(rng.normal(size=(3, 4)))  # no grad: not in argnums
-        cot = rng.normal(size=np.stack([c.data] * 3, axis=axis).shape)
-        assert_walk_matches_fd(
-            lambda x, y: (Tensor.stack([x, c, y], axis=axis)
-                          * Tensor(cot)).sum(),
-            [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
-        )
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_concatenate(self, axis):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-        cot = rng.normal(size=np.concatenate([a, a, b], axis=axis).shape)
-        assert_walk_matches_fd(
-            lambda x, y: (Tensor.concatenate([x, x * 2.0, y], axis=axis)
-                          * Tensor(cot)).sum(),
-            [a, b],
+# A fused-VJP primitive of three operands, f(a, b, c) = a * b + c ** 2:
+# ``vjp_all`` gets only the argnums of operands that need a gradient, in
+# order, and must answer each of them.
+_FUSED = Primitive("fused_test_op")
+
+
+def _fused_vjp_all(g, ans, operands, params, argnums):
+    a, b, c = operands
+    params["argnums"].append(argnums)
+    grads = {0: g * b, 1: g * a, 2: 2.0 * g * c}
+    return [grads[k] for k in argnums]
+
+
+defvjp_all(_FUSED, _fused_vjp_all)
+
+
+def _fused(a, b, c, seen):
+    return tape_record(_FUSED, a.data * b.data + c.data**2, (a, b, c),
+                       {"argnums": seen})
+
+
+class TestFusedVjp:
+    """The walk's ``vjp_all`` case, as the quantum primitive uses it."""
+
+    @pytest.mark.parametrize("constant", [0, 1, 2])
+    def test_constant_operand_is_skipped(self, constant):
+        rng = np.random.default_rng(1)
+        fixed = Tensor(rng.normal(size=(3, 4)))  # no grad: not in argnums
+        cot = rng.normal(size=(3, 4))
+        seen = []
+
+        def fn(x, y):
+            operands = [x, y]
+            operands.insert(constant, fixed)
+            return (_fused(*operands, seen) * Tensor(cot)).sum()
+
+        x, y = assert_walk_matches_fd(
+            fn, [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
         )
+        assert seen[0] == tuple(k for k in range(3) if k != constant)
+        assert fixed.grad is None
+        assert x.grad is not None and y.grad is not None
 
 
 class TestStagedKernels:
@@ -725,7 +748,7 @@ class TestOneWalkSurface:
         from repro.nn.graph import plan_cache_stats
 
         rng = np.random.default_rng(0)
-        model = Sequential(Linear(3, 4, rng=rng), Tanh(), Linear(4, 3, rng=rng))
+        model = Sequential(Linear(3, 4, rng=rng), ReLU(), Linear(4, 3, rng=rng))
         optimizer = Adam(model.parameters(), lr=0.01)
         x = Tensor(rng.normal(size=(5, 3)))
         for _ in range(2):
@@ -738,7 +761,7 @@ class TestOneWalkSurface:
 class TestModuleFreezing:
     def test_requires_grad_freezes_and_unfreezes(self):
         rng = np.random.default_rng(1)
-        model = Sequential(Linear(3, 3, rng=rng), Tanh(), Linear(3, 1, rng=rng))
+        model = Sequential(Linear(3, 3, rng=rng), ReLU(), Linear(3, 1, rng=rng))
         x = Tensor(rng.normal(size=(2, 3)))
         model.requires_grad_(False)
         out = (model(x) ** 2).sum()

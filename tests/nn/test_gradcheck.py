@@ -153,15 +153,3 @@ class TestBinaryAndReduce:
             return (t.reshape(3, 4).T * Tensor(np.ones((4, 3)))).sum(axis=0)
 
         check(op, x0)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=seeds)
-    def test_concat_graph(self, seed):
-        rng = np.random.default_rng(seed)
-        x0 = rng.normal(size=(2, 3))
-        other = Tensor(rng.normal(size=(2, 2)))
-
-        def op(t):
-            return Tensor.concatenate([t, other], axis=1) * 2.0
-
-        check(op, x0)

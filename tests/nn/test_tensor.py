@@ -185,32 +185,6 @@ class TestShapes:
         expected[2:5] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
-    def test_concatenate(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0], requires_grad=True)
-        cat = Tensor.concatenate([a, b])
-        assert cat.shape == (3,)
-        (cat * Tensor([1.0, 2.0, 3.0])).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 2.0])
-        np.testing.assert_allclose(b.grad, [3.0])
-
-    def test_concatenate_axis1(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((2, 3)), requires_grad=True)
-        cat = Tensor.concatenate([a, b], axis=1)
-        assert cat.shape == (2, 5)
-        cat.sum().backward()
-        np.testing.assert_allclose(a.grad, np.ones((2, 2)))
-        np.testing.assert_allclose(b.grad, np.ones((2, 3)))
-
-    def test_stack(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        s = Tensor.stack([a, b])
-        assert s.shape == (2, 2)
-        s.sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 1.0])
-
 
 class TestBroadcastGrads:
     def test_bias_broadcast(self):

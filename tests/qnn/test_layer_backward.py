@@ -49,16 +49,9 @@ def value_of(loss_fn, *args):
     return loss
 
 
-def _weights_only_layer(seed=7):
-    circuit = Circuit(2)
-    circuit.strongly_entangling_layers(1)
-    circuit.measure_expval()
-    return QuantumLayer(circuit, rng=np.random.default_rng(seed))
-
-
 def _patched_layer():
     return PatchedQuantumLayer(
-        lambda i: amplitude_encoder_circuit(2, 4, 1),
+        amplitude_encoder_circuit(2, 4, 1),
         n_patches=2,
         rng=np.random.default_rng(3),
     )
@@ -71,14 +64,6 @@ def _patched_input(requires_grad=False):
 
 
 class TestQuantumLayerBackward:
-    def test_weights_only_layer_matches_parameter_shift(self):
-        layer = _weights_only_layer()
-        layer(None).sum().backward()
-        jac = parameter_shift_jacobian(layer.circuit, None, layer.weights.data)
-        np.testing.assert_allclose(
-            layer.weights.grad, jac.sum(axis=(0, 1)), atol=1e-10
-        )
-
     def test_batched_squared_loss_matches_jacobian(self):
         circuit = angle_expval_circuit(2, 2, 1)
         layer = QuantumLayer(circuit, rng=np.random.default_rng(5))
@@ -123,7 +108,6 @@ class TestQuantumLayerBackward:
 class TestPatchedLayerBackward:
     def test_squared_loss_matches_per_patch_jacobians(self):
         layer, x = _patched_layer(), _patched_input()
-        assert layer.stacked
         squared(layer, x).backward()
         # Patches are independent: each patch's weight gradient is its own
         # shift-rule Jacobian contracted with 2 f on its own outputs.
@@ -140,16 +124,24 @@ class TestPatchedLayerBackward:
                 atol=1e-10,
             )
 
-    def test_stacked_matches_sequential_squared_loss(self):
+    def test_stacked_matches_per_patch_squared_loss(self):
         layer = _patched_layer()
+        per_in = layer.inputs_per_patch
         grads = []
-        for forward in (layer, layer._forward_sequential):
+        for stacked in (True, False):
             layer.zero_grad()
             x = _patched_input(requires_grad=True)
-            (forward(x) ** 2).sum().backward()
+            if stacked:
+                loss = (layer(x) ** 2).sum()
+            else:
+                loss = Tensor(0.0)
+                for k, patch in enumerate(layer.patches):
+                    chunk = x[:, k * per_in : (k + 1) * per_in]
+                    loss = loss + (patch(chunk) ** 2).sum()
+            loss.backward()
             grads.append([x.grad] + [p.weights.grad for p in layer.patches])
-        for stacked, sequential in zip(*grads):
-            np.testing.assert_allclose(stacked, sequential, atol=1e-10)
+        for stacked, per_patch in zip(*grads):
+            np.testing.assert_allclose(stacked, per_patch, atol=1e-10)
 
     def test_input_grads_match_finite_differences(self):
         layer, x = _patched_layer(), _patched_input(requires_grad=True)

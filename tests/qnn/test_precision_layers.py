@@ -9,7 +9,7 @@ from repro.qnn import PatchedQuantumLayer, QuantumLayer, amplitude_encoder_circu
 def _layers(dtype):
     rng = np.random.default_rng(0)
     return PatchedQuantumLayer(
-        lambda i: amplitude_encoder_circuit(3, 8, 2, zero_fallback=True),
+        amplitude_encoder_circuit(3, 8, 2, zero_fallback=True),
         n_patches=2,
         rng=rng,
         dtype=dtype,

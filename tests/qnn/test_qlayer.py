@@ -110,14 +110,14 @@ class TestQuantumLayer:
             first = loss.item() if first is None else first
         assert loss.item() < first * 0.8
 
-    def test_wider_input_rejected_by_default(self):
+    def test_wider_input_rejected(self):
         # Feeding more features than the circuit consumes is a wiring bug:
         # the layer must error loudly instead of silently training on a
         # feature prefix.
         rng = np.random.default_rng(4)
         layer = QuantumLayer(angle_expval_circuit(2, 2, 1), rng=rng)
         x = Tensor(rng.uniform(-1, 1, (2, 5)), requires_grad=True)
-        with pytest.raises(ValueError, match="input_prefix"):
+        with pytest.raises(ValueError, match="consumes 2 input feature"):
             layer(x)
 
     def test_narrower_input_rejected(self):
@@ -125,23 +125,19 @@ class TestQuantumLayer:
         with pytest.raises(ValueError, match="consumes 3"):
             layer(Tensor(np.zeros((2, 2))))
 
-    def test_wider_input_with_prefix_opt_in(self):
-        # With input_prefix=True the extra columns are ignored but still get
-        # a (zero) gradient entry.
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("option", ["input_prefix", "init_scale"])
+    def test_removed_options_are_refused(self, option):
+        with pytest.raises(TypeError, match=option):
+            QuantumLayer(angle_expval_circuit(2, 2, 1), **{option: True})
+
+    def test_weights_span_minus_pi_to_pi(self):
         layer = QuantumLayer(
-            angle_expval_circuit(2, 2, 1), rng=rng, input_prefix=True
+            angle_expval_circuit(4, 4, 5), rng=np.random.default_rng(6)
         )
-        x = Tensor(rng.uniform(-1, 1, (2, 5)), requires_grad=True)
-        layer(x).sum().backward()
-        assert x.grad.shape == (2, 5)
-        np.testing.assert_allclose(x.grad[:, 2:], 0.0)
-        # The prefix columns must match the exact-width gradient.
-        exact = Tensor(x.data[:, :2].copy(), requires_grad=True)
-        QuantumLayer(
-            angle_expval_circuit(2, 2, 1), rng=np.random.default_rng(4)
-        )(exact).sum().backward()
-        np.testing.assert_allclose(x.grad[:, :2], exact.grad, atol=1e-12)
+        expected = np.random.default_rng(6).uniform(
+            -np.pi, np.pi, layer.circuit.n_weights
+        )
+        assert (layer.weights.data == expected).all()
 
 
 def _np_forward(layer, inputs):
@@ -173,7 +169,7 @@ class TestPatchedLayer:
     def test_forward_shape(self):
         rng = np.random.default_rng(0)
         layer = PatchedQuantumLayer(
-            lambda i: amplitude_encoder_circuit(3, 8, 1), n_patches=4, rng=rng
+            amplitude_encoder_circuit(3, 8, 1), n_patches=4, rng=rng
         )
         assert layer.input_dim == 32
         assert layer.output_dim == 12
@@ -182,14 +178,14 @@ class TestPatchedLayer:
 
     def test_wrong_input_dim_raises(self):
         layer = PatchedQuantumLayer(
-            lambda i: amplitude_encoder_circuit(2, 4, 1), n_patches=2
+            amplitude_encoder_circuit(2, 4, 1), n_patches=2
         )
         with pytest.raises(ValueError):
             layer(Tensor(np.ones((1, 9))))
 
     def test_patches_have_independent_weights(self):
         layer = PatchedQuantumLayer(
-            lambda i: amplitude_encoder_circuit(2, 4, 1),
+            amplitude_encoder_circuit(2, 4, 1),
             n_patches=3,
             rng=np.random.default_rng(1),
         )
@@ -201,7 +197,7 @@ class TestPatchedLayer:
         # Changing features of patch 1 must not affect patch 0 outputs.
         rng = np.random.default_rng(2)
         layer = PatchedQuantumLayer(
-            lambda i: amplitude_encoder_circuit(2, 4, 1), n_patches=2, rng=rng
+            amplitude_encoder_circuit(2, 4, 1), n_patches=2, rng=rng
         )
         x = np.abs(rng.normal(size=(1, 8))) + 0.1
         base = layer(Tensor(x)).data
@@ -215,7 +211,7 @@ class TestPatchedLayer:
     def test_gradients_flow_through_patches(self):
         rng = np.random.default_rng(3)
         layer = PatchedQuantumLayer(
-            lambda i: angle_expval_circuit(2, 2, 1), n_patches=2, rng=rng
+            angle_expval_circuit(2, 2, 1), n_patches=2, rng=rng
         )
         x = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
         layer(x).sum().backward()
@@ -231,7 +227,7 @@ class TestPatchedLayer:
     def test_patched_expval_outputs_bounded(self, n_patches, seed):
         rng = np.random.default_rng(seed)
         layer = PatchedQuantumLayer(
-            lambda i: amplitude_encoder_circuit(
+            amplitude_encoder_circuit(
                 patch_qubits(16, n_patches), 16 // n_patches, 1
             ),
             n_patches=n_patches,

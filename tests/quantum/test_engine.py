@@ -27,6 +27,7 @@ from repro.quantum import (
     stacked_plan,
 )
 from repro.models import build_model
+from repro.qnn import QuantumLayer
 from repro.quantum.engine import _SDense, _SPermutation
 
 
@@ -195,9 +196,12 @@ class TestModelPlans:
         n_layers = 5 if name.startswith("sq") else 3
         model = build_model(name, input_dim=features, n_patches=4,
                             n_layers=n_layers, latent_dim=6, seed=0)
+        # Each QuantumLayer once: a patched layer holds the same circuit as
+        # its patches, so counting every module with a ``circuit`` would
+        # count each patched circuit one extra time.
         instructions = [
             instr
-            for module in model.modules() if hasattr(module, "circuit")
+            for module in model.modules() if isinstance(module, QuantumLayer)
             for instr in stacked_plan(module.circuit).instructions
         ]
         kinds = {type(instr) for instr in instructions}

@@ -287,6 +287,29 @@ class TestWireErrors:
             assert f"at most {MAX_SAMPLE_COUNT}" in response["message"]
             assert client.ping()  # connection survives
 
+    @pytest.mark.parametrize("shape", [(1, 32, 32), (MAX_SAMPLE_COUNT, 8, 8)],
+                             ids=["side_32", "max_rows"])
+    def test_score_at_the_caps_is_scored(self, unserved, shape):
+        line = json.dumps({"kind": "score", "matrices": np.zeros(shape).tolist()})
+        response = json.loads(unserved.respond(line.encode()))
+        assert response["ok"] is True
+        assert len(response["usable"]) == shape[0]
+
+    @pytest.mark.parametrize("shape", [(1, 33, 33), (MAX_SAMPLE_COUNT + 1, 8, 8)],
+                             ids=["side_33", "too_many_rows"])
+    def test_score_past_the_caps_is_bad_request(self, unserved, shape):
+        # A 1024 x 1024 stack used to hold the scorer for five minutes and
+        # expire every request queued behind it.
+        before = unserved.service.stats()["batcher"]["requests"]
+        line = json.dumps({"kind": "score", "matrices": np.zeros(shape).tolist()})
+        reply = unserved.respond(line.encode())
+        assert_one_reply(reply)
+        response = json.loads(reply)
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+        assert response["message"].startswith("matrices")
+        assert unserved.service.stats()["batcher"]["requests"] == before
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
     @pytest.mark.parametrize("kind", ["encode", "score"])

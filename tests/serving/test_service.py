@@ -208,6 +208,20 @@ class TestValidation:
             with pytest.raises(ValueError, match="matrix stack"):
                 service.score(np.zeros((2, 8, 9)))
 
+    def test_score_bounds_matrix_side_and_rows(self, vae_checkpoint):
+        # Sanitizing grows much faster than the matrix side: one 512 x 512
+        # stack held the worker for half a minute.  Both caps are checked on
+        # the calling thread, so a refused stack never reaches the batcher.
+        with GenerationService(default_checkpoint=vae_checkpoint) as service:
+            assert service.score(np.zeros((1, 32, 32)))["usable"].shape == (1,)
+            rows = service.score(np.zeros((MAX_SAMPLE_COUNT, 8, 8)))
+            assert rows["usable"].shape == (MAX_SAMPLE_COUNT,)
+            with pytest.raises(ValueError, match="matrices must be at most 32"):
+                service.score(np.zeros((1, 33, 33)))
+            with pytest.raises(ValueError, match="matrices may hold at most"):
+                service.score(np.zeros((MAX_SAMPLE_COUNT + 1, 8, 8)))
+            assert service.stats()["batcher"]["requests"] == 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_encode_rejects_non_finite_features(self, sq_vae_checkpoint,
                                                 bad):

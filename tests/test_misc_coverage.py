@@ -29,32 +29,9 @@ class TestTables:
 
 
 class TestFunctionalExtras:
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 5)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-12
-        )
-
-    def test_log_softmax_stable_for_large_inputs(self):
-        x = Tensor(np.array([[1000.0, 1000.0, 999.0]]))
-        out = F.log_softmax(x).data
-        assert np.isfinite(out).all()
-
-    def test_bce_reduction_modes(self):
-        pred = Tensor(np.full((2, 2), 0.5))
-        target = Tensor(np.ones((2, 2)))
-        total = F.bce_loss(pred, target, reduction="sum").item()
-        mean = F.bce_loss(pred, target, reduction="mean").item()
-        assert total == pytest.approx(mean * 4)
-
     def test_unknown_reduction(self):
         with pytest.raises(ValueError):
             F.mse_loss(Tensor([1.0]), Tensor([0.0]), reduction="bogus")
-
-    def test_l1_none_reduction_shape(self):
-        out = F.l1_loss(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3))),
-                        reduction="none")
-        assert out.shape == (2, 3)
 
     def test_gaussian_kl_sum_reduction(self):
         mu = Tensor(np.ones((4, 2)))
