@@ -17,7 +17,7 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
-PERFBENCH = SRC.parent / "perfbench"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PROBE = """
 import json, sys
